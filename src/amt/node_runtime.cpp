@@ -141,7 +141,7 @@ void NodeRuntime::try_dispatch() {
 
 void NodeRuntime::run_task(ReadyTask&& task, int worker_idx) {
   // Fail-stop: work items queued before the crash still fire (they live
-  // on the engine's shared shard), but a dead node does no work.
+  // under owner 0, not the node), but a dead node does no work.
   if (dead_) return;
   if (ft_ != nullptr && ft_->lineage.is_done(task.key)) {
     // Lost the race with a re-execution elsewhere (possible only after a

@@ -75,9 +75,9 @@ class NodeRuntime {
   des::SimThread& comm_thread() { return *comm_thread_; }
 
   // --- fail-stop recovery hooks (no-ops unless ft was passed) -----------
-  /// Ground-truth crash notification: this node stops doing work.  Its
-  /// DES shard was already cancelled by the fabric; this guards the
-  /// SimThread work items (workers, comm loop) that live on shard 0.
+  /// Ground-truth crash notification: this node stops doing work.  The
+  /// fabric already cancelled the DES events the node owns; this guards
+  /// the SimThread work items (workers, comm loop) that owner 0 holds.
   void mark_crashed();
   bool crashed() const { return dead_; }
   /// Drops protocol state wedged on a confirmed-dead peer: pending

@@ -17,7 +17,7 @@ void install_standard_probes(obs::Timeline& tl, net::Fabric& fabric,
   for (int node = 0; node < n; ++node) {
     const auto shard = net::Fabric::shard_of(node);
     tl.add_probe("des.qdepth", node, [&eng, shard]() {
-      return static_cast<double>(eng.shard_pending(shard));
+      return static_cast<double>(eng.owner_pending(shard));
     });
   }
 

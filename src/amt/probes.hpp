@@ -4,7 +4,7 @@
 // callbacks); this module knows the stack and registers the probes the
 // paper's bottleneck questions need:
 //
-//   des.qdepth     (per node)  DES event-queue depth of the node's shard
+//   des.qdepth     (per node)  pending DES events owned by the node
 //   ce.unacked     (per node)  reliable-layer send window / RTO-pending
 //   ce.fd.view     (per node)  worst surviving verdict about the node:
 //                              0 Alive everywhere, 1 someone suspects it,

@@ -38,7 +38,7 @@ Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
         if (st == ce::PeerState::Dead) on_peer_dead(peer);
       });
     }
-    // The crash handler always marks the corpse so its queued shard-0 work
+    // The crash handler always marks the corpse so its queued owner-0 work
     // items (workers, comm loop) become no-ops.  AMT death is sticky: a
     // fabric restart revives the ce level only; the node stays out of the
     // work pool (graceful degradation).

@@ -84,7 +84,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
   }
 
   /// This node itself restarted: reset every view and restart the timer
-  /// (the crash cancelled it along with the rest of the node's shard).
+  /// (the crash cancelled it along with every other event the node owned).
   void self_restarted() {
     const des::Time now = eng().now();
     std::fill(last_rx_.begin(), last_rx_.end(), now);
@@ -186,7 +186,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
   FailureDetectorDomain& domain_;
   int node_;
   net::LinkShim* inner_ = nullptr;
-  des::ShardedEventQueue::Id timer_;
+  des::EventId timer_ = des::kInvalidEvent;
   std::vector<des::Time> last_rx_;
   std::vector<des::Time> last_tx_;
   std::vector<double> mean_gap_;     ///< EWMA inter-arrival gap (ns)
@@ -206,7 +206,7 @@ FailureDetectorDomain::FailureDetectorDomain(net::Fabric& fabric, FdConfig cfg)
     nodes_.emplace_back(std::make_unique<NodeDetector>(*this, node));
   }
   fabric_.add_crash_handler([this](net::NodeId node, bool up) {
-    if (!up) return;  // the crash itself needs no action: the shard died
+    if (!up) return;  // the crash itself needs no action: its timer died
     nodes_[static_cast<std::size_t>(node)]->self_restarted();
     for (auto& d : nodes_) d->peer_restarted(node);
   });

@@ -25,10 +25,10 @@
 // zero the detector must produce zero false positives, which the unit
 // tests pin.
 //
-// A node's timer lives on its own DES shard: when the node crashes the
-// fabric cancels the shard and the dead node stops heartbeating and
-// detecting — exactly the fail-stop semantics.  On restart the domain
-// re-arms the timer and resets the node's views.
+// A node's timer is owned by the node in the DES queue: when the node
+// crashes the fabric cancels every event it owns, and the dead node
+// stops heartbeating and detecting — exactly the fail-stop semantics.
+// On restart the domain re-arms the timer and resets the node's views.
 #pragma once
 
 #include <cstdint>

@@ -129,9 +129,9 @@ void ReliableChannel::cancel_timers() {
   for (auto& peer : unacked_) {
     for (const SeqSlot& e : peer) {
       UnackedHot& u = slab_hot_[e.slot];
-      if (u.timer.ev != des::kInvalidEvent) {
+      if (u.timer != des::kInvalidEvent) {
         eng_.cancel(u.timer);
-        u.timer = {};
+        u.timer = des::kInvalidEvent;
       }
     }
   }
@@ -154,7 +154,7 @@ void ReliableChannel::peer_dead(net::NodeId peer) {
   seqs.reserve(unacked_[i].size());
   for (const SeqSlot& e : unacked_[i]) {
     UnackedHot& u = slab_hot_[e.slot];
-    if (u.timer.ev != des::kInvalidEvent) eng_.cancel(u.timer);
+    if (u.timer != des::kInvalidEvent) eng_.cancel(u.timer);
     seqs.push_back(e.seq);
     slab_release(e.slot);
   }
@@ -260,7 +260,7 @@ void ReliableChannel::arm_timer(net::NodeId dst, std::uint64_t seq) {
   // Reschedule a still-pending timer in place (the NACK fast-retransmit
   // path): the callback stays parked in its event slot, no cancel
   // tombstone, no new slot.  A fired timer needs a fresh event.
-  if (u.timer.ev != des::kInvalidEvent &&
+  if (u.timer != des::kInvalidEvent &&
       eng_.reschedule(u.timer, eng_.now() + delay)) {
     return;
   }
@@ -273,7 +273,7 @@ void ReliableChannel::on_timer(net::NodeId dst, std::uint64_t seq) {
   auto& peer = unacked_[static_cast<std::size_t>(dst)];
   const std::size_t i = window_find(peer, seq);
   if (i == SIZE_MAX) return;  // ACKed between firing and dispatch
-  slab_hot_[peer[i].slot].timer = {};
+  slab_hot_[peer[i].slot].timer = des::kInvalidEvent;
   expire(dst, seq);
 }
 
@@ -293,7 +293,7 @@ void ReliableChannel::expire(net::NodeId dst, std::uint64_t seq) {
     if (domain_.rec_ != nullptr) {
       domain_.rec_->counter("ce.rel.timeouts").add();
     }
-    if (u.timer.ev != des::kInvalidEvent) eng_.cancel(u.timer);
+    if (u.timer != des::kInvalidEvent) eng_.cancel(u.timer);
     const DeliveryErrorCallback& cb = domain_.on_error_;
     const ReliableDomain::SuspicionHook& hook = domain_.on_suspect_;
     peer.erase(peer.begin() + static_cast<std::ptrdiff_t>(i));
@@ -379,7 +379,7 @@ void ReliableChannel::on_control(const net::Message& m) {
   }
 
   // ACK: done.
-  if (u.timer.ev != des::kInvalidEvent) eng_.cancel(u.timer);
+  if (u.timer != des::kInvalidEvent) eng_.cancel(u.timer);
   if (domain_.rec_ != nullptr) {
     const auto wait = static_cast<double>(eng_.now() - u.first_sent);
     domain_.rec_->histogram("ce.rel.ack_ns").add(wait);

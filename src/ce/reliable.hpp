@@ -125,9 +125,9 @@ class ReliableChannel final : public net::LinkShim {
     std::uint32_t attempts = 1;  ///< transmissions so far
     des::Duration rto = 0;       ///< current timeout
     des::Duration rto_cap = 0;   ///< per-message cap (size-dependent)
-    // RTO timer handle; lives on the owning node's DES shard so a
-    // node's retransmission state stays in that node's event slab.
-    des::ShardedEventQueue::Id timer;
+    // RTO timer handle, owned by the sending node in the DES queue so
+    // the node's crash cancels it.
+    des::EventId timer = des::kInvalidEvent;
   };
   /// One entry of a peer's send window: the tracked seq and its slab
   /// slot.  Windows stay sorted for free — seqs are assigned

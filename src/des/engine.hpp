@@ -6,20 +6,18 @@
 // strictly single-(OS-)threaded: determinism comes from the total event
 // order, and "parallelism" is modeled, not real.
 //
-// Events live in a ShardedEventQueue: callers that know which simulated
-// node an event belongs to place it on that node's shard via
-// schedule_on(), keeping per-node state in per-node slabs; callers that
-// don't (timers, runtime bookkeeping) use the EventId-based API, which is
-// shard 0.  Because all shards share one FIFO counter, the merged firing
-// order is bit-identical to the former monolithic queue regardless of how
-// events are spread across shards.
+// Events live in one EventQueue.  Callers that know which simulated node
+// an event belongs to tag it with that node's owner id via schedule_on(),
+// so a node crash can cancel exactly its events (cancel_owner) and probes
+// can read a per-node depth (owner_pending); everything else is owner 0.
+// The tag never changes when an event fires.
 #pragma once
 
 #include <cassert>
 #include <functional>
 #include <utility>
 
-#include "des/sharded_queue.hpp"
+#include "des/event_queue.hpp"
 #include "des/time.hpp"
 
 namespace des {
@@ -61,7 +59,7 @@ class Engine {
   /// captures stay heap-free (des::InplaceCallback).
   template <typename F>
   EventId schedule_at(Time t, F&& fn) {
-    return queue_.schedule(0, guard_time(t), std::forward<F>(fn)).ev;
+    return queue_.schedule(guard_time(t), std::forward<F>(fn));
   }
 
   /// Schedules `fn` after `d` nanoseconds of simulated time.
@@ -71,32 +69,28 @@ class Engine {
     return schedule_at(now_ + d, std::forward<F>(fn));
   }
 
-  /// Schedules `fn` at absolute time `t` on `shard` (one shard per
-  /// simulated node by convention).  Sharding changes WHERE the event's
-  /// slot lives, never WHEN it fires relative to other events.
+  /// Schedules `fn` at absolute time `t` on behalf of `owner` (one owner
+  /// per simulated node by convention, 0 for global work).  The owner
+  /// decides which crash cancels the event, never when it fires.
   template <typename F>
-  ShardedEventQueue::Id schedule_on(std::uint32_t shard, Time t, F&& fn) {
-    return queue_.schedule(shard, guard_time(t), std::forward<F>(fn));
+  EventId schedule_on(std::uint32_t owner, Time t, F&& fn) {
+    return queue_.schedule_on(owner, guard_time(t), std::forward<F>(fn));
   }
 
   /// Cancels a pending event; returns false if already fired/cancelled.
-  bool cancel(EventId id) { return queue_.cancel({0, id}); }
-  bool cancel(ShardedEventQueue::Id id) { return queue_.cancel(id); }
+  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Moves a pending event to absolute time `t` (>= now()), keeping its
   /// callback — cancel + schedule without the churn.  Returns false if the
   /// event already fired or was cancelled.
   bool reschedule(EventId id, Time t) {
-    return queue_.reschedule({0, id}, guard_time(t));
-  }
-  bool reschedule(ShardedEventQueue::Id id, Time t) {
     return queue_.reschedule(id, guard_time(t));
   }
 
-  /// Cancels every pending event on `shard` (fail-stop node crash).
+  /// Cancels every pending event of `owner` (fail-stop node crash).
   /// Returns the number of events cancelled.
-  std::size_t cancel_shard(std::uint32_t shard) {
-    return queue_.cancel_shard(shard);
+  std::size_t cancel_owner(std::uint32_t owner) {
+    return queue_.cancel_owner(owner);
   }
 
   /// Fires the next event.  Returns false when no events remain.
@@ -174,17 +168,18 @@ class Engine {
 
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_fired() const { return events_fired_; }
-  std::size_t num_shards() const { return queue_.num_shards(); }
+  /// Event queues behind the engine: always one (reported by perfbench).
+  std::size_t num_shards() const { return 1; }
 
   /// Past-time schedule/reschedule requests clamped to now() (only
   /// possible in builds with NDEBUG — see guard_time).  Nonzero means a
   /// caller holds a latent bug that debug builds would have asserted on.
   std::uint64_t past_schedules_clamped() const { return past_clamped_; }
 
-  /// Pending events on one shard (shard_of(node) for per-node depth
-  /// probes; shard 0 carries global timers).
-  std::size_t shard_pending(std::uint32_t shard) const {
-    return queue_.shard_size(shard);
+  /// Pending events of one owner (shard_of(node) for per-node depth
+  /// probes; owner 0 carries global timers).
+  std::size_t owner_pending(std::uint32_t owner) const {
+    return queue_.owner_pending(owner);
   }
 
   /// Arms (or, with null, disarms) the periodic sampler.  `first_due` is
@@ -196,11 +191,6 @@ class Engine {
     sample_due_ = s == nullptr ? kTimeNever : first_due;
   }
   Sampler* sampler() const { return sampler_; }
-
-  /// Conservative lookahead bound for `shard` (see ShardedEventQueue).
-  Time safe_horizon(std::uint32_t shard, Duration lookahead) {
-    return queue_.safe_horizon(shard, lookahead);
-  }
 
   /// Installs (or, with null, removes) the trace sink.  The sink must
   /// outlive every event that may emit into it.
@@ -231,7 +221,7 @@ class Engine {
     return t;
   }
 
-  ShardedEventQueue queue_;
+  EventQueue queue_;
   Time now_ = 0;
   std::uint64_t events_fired_ = 0;
   std::uint64_t past_clamped_ = 0;

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 
 namespace des {
 
 // Cold paths of the calendar/timing-wheel hybrid: wheel rotation,
-// overflow re-spill, the amortized tombstone sweep, and whole-queue
-// teardown.  Hot-path methods (schedule, pop, cancel, reschedule, the
+// overflow re-spill, the amortized tombstone sweep, and per-owner
+// cancellation.  Hot-path methods (schedule, pop, cancel, reschedule, the
 // cursor walk) live inline in the header — they are the simulator's
 // innermost loop.
 
@@ -170,23 +169,29 @@ void EventQueue::compact() {
   std::erase_if(stage_, [this](const Entry& e) { return !entry_live(e); });
 }
 
-std::size_t EventQueue::cancel_all() {
+// Releasing a slot is all a cancellation needs: its wheel, stage or
+// overflow entry no longer matches a live slot, so the cursor, spills and
+// the next sweep treat it as an ordinary tombstone.  The window and the
+// other owners' entries are untouched, so survivors keep their order.
+std::size_t EventQueue::cancel_owner(std::uint32_t owner) {
+  if (owner_pending(owner) == 0) return 0;
   std::size_t n = 0;
   for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
-    if (!slots_[idx].live) continue;
+    if (!slots_[idx].live || slots_[idx].owner != owner) continue;
     release(idx);
     ++n;
   }
-  for (std::vector<Entry>& b : wheel_) b.clear();
-  std::fill(std::begin(occ_), std::end(occ_), 0ull);
-  overflow_.clear();
-  stage_.clear();
-  wheel_entries_ = 0;
-  cur_pos_ = 0;
-  live_count_ = 0;
-  // The window (wheel_base_, cur_) is kept: simulation time only moves
-  // forward, so the next schedule re-populates the same era.
+  if (owner != 0) owner_live_[owner] = 0;
+  live_count_ -= n;
+  maybe_compact();
   return n;
+}
+
+std::size_t EventQueue::owner_pending(std::uint32_t owner) const {
+  if (owner != 0) return owner < owner_live_.size() ? owner_live_[owner] : 0;
+  std::size_t tagged = 0;
+  for (const std::uint32_t n : owner_live_) tagged += n;
+  return live_count_ - tagged;
 }
 
 void EventQueue::reserve(std::size_t events) {

@@ -43,6 +43,13 @@
 // stays in its slot, the old entry becomes a tombstone, and the event
 // behaves exactly as if it had been cancelled and re-scheduled at the new
 // time (fresh FIFO seq) — minus the callback teardown and slot churn.
+//
+// Every slot carries a 32-bit owner tag (in the simulator, the simulated
+// node that owns the event, 0 for global work).  The tag never affects
+// firing order.  It feeds a per-owner live count (owner_pending, the
+// per-node queue-depth probe) and cancel_owner(), the fail-stop crash
+// path: a cold slab walk that releases every live slot of one owner and
+// leaves its queue entries behind as ordinary tombstones.
 #pragma once
 
 #include <algorithm>
@@ -65,25 +72,21 @@ class EventQueue {
  public:
   using Callback = InplaceCallback;
 
-  /// Schedules `fn` to fire at absolute time `t`.  `t` must not precede the
-  /// last popped event time (enforced by Engine, not here).  Accepts any
-  /// void() callable and constructs it directly in the slab slot (no
-  /// intermediate Callback hop).  Defined inline below: schedule/pop are
-  /// the simulator's innermost loop and must inline into callers.
+  /// Schedules `fn` to fire at absolute time `t` on behalf of `owner`.
+  /// `t` must not precede the last popped event time (enforced by Engine,
+  /// not here).  Accepts any void() callable and constructs it directly in
+  /// the slab slot (no intermediate Callback hop).  Defined inline below:
+  /// schedule/pop are the simulator's innermost loop and must inline into
+  /// callers.
   template <typename F>
-  AMTLCE_DES_HOT_INLINE EventId schedule(Time t, F&& fn);
+  AMTLCE_DES_HOT_INLINE EventId schedule_on(std::uint32_t owner, Time t,
+                                            F&& fn);
 
-  /// schedule() with an externally supplied FIFO sequence number.  Used by
-  /// ShardedEventQueue to impose ONE global (time, seq) order across many
-  /// per-shard queues: each shard stores its events under seqs drawn from
-  /// the shared counter, so merging shard fronts by (time, seq) reproduces
-  /// exactly the order a single monolithic queue would produce.  `seq`
-  /// values must be strictly increasing across calls (including plain
-  /// schedule()/reschedule(), which advance the same internal counter when
-  /// used standalone) and must stay below 2^40.
+  /// schedule_on() for owner 0 (global work).
   template <typename F>
-  AMTLCE_DES_HOT_INLINE EventId schedule_seq(Time t, std::uint64_t seq,
-                                             F&& fn);
+  AMTLCE_DES_HOT_INLINE EventId schedule(Time t, F&& fn) {
+    return schedule_on(0, t, std::forward<F>(fn));
+  }
 
   /// Cancels a pending event.  Returns false if the id is unknown or the
   /// event already fired.
@@ -95,17 +98,15 @@ class EventQueue {
   /// callback churn.  Returns false if the id is unknown or already fired.
   AMTLCE_DES_HOT_INLINE bool reschedule(EventId id, Time t);
 
-  /// reschedule() with an externally supplied FIFO sequence number (see
-  /// schedule_seq); the moved event re-queues as if freshly scheduled
-  /// under `seq`.
-  AMTLCE_DES_HOT_INLINE bool reschedule_seq(EventId id, Time t,
-                                            std::uint64_t seq);
+  /// Cancels every pending event of `owner` (fail-stop node crash).  Their
+  /// EventIds go stale and their callbacks are destroyed without firing;
+  /// other owners' events keep their order.  Returns the number of events
+  /// cancelled.  Cold path: one O(slab) walk.
+  std::size_t cancel_owner(std::uint32_t owner);
 
-  /// Cancels every pending event at once (fail-stop node crash: the
-  /// node's whole shard dies).  All outstanding EventIds go stale and
-  /// callbacks are destroyed without firing.  Returns the number of
-  /// events cancelled.  Cold path: O(slab + buckets), not amortized.
-  std::size_t cancel_all();
+  /// Live events of `owner`.  O(1) for owners other than 0; owner 0 is
+  /// not counted on the hot path, so its count is derived in O(owners).
+  std::size_t owner_pending(std::uint32_t owner) const;
 
   /// Pre-sizes internal storage — slab, overflow tier, and every wheel
   /// bucket — so a steady-state workload of up to `events` concurrent
@@ -130,10 +131,9 @@ class EventQueue {
   /// Time of the earliest pending event, or kTimeNever when empty.
   AMTLCE_DES_HOT_INLINE Time next_time();
 
-  /// The front event's (time, seq) after dropping tombstones.  Returns
-  /// false when the queue is empty.  The seq is the FIFO sequence the
-  /// event was scheduled under (external when schedule_seq was used), so
-  /// ShardedEventQueue can compare fronts across shards exactly.
+  /// The front event's (time, seq) after dropping tombstones, where seq
+  /// is the FIFO sequence number the event was (re)scheduled under.
+  /// Returns false when the queue is empty.
   AMTLCE_DES_HOT_INLINE bool peek_front(Time& t, std::uint64_t& seq) {
     if (!ensure_front()) return false;
     const Entry& e = wheel_[cur_][cur_pos_];
@@ -159,6 +159,7 @@ class EventQueue {
     std::uint64_t heap_key = 0;  ///< key of the slot's live queue entry
     std::uint32_t gen = 0;    ///< bumped on release; part of the EventId
     std::uint32_t next_free = kNoFree;
+    std::uint32_t owner = 0;  ///< see cancel_owner / owner_pending
     bool live = false;
   };
 
@@ -199,11 +200,8 @@ class EventQueue {
   // sorts short while still absorbing the bulk of traffic; RTO timers
   // and end-of-phase barriers (tens of us and up) ride the overflow
   // tier and re-spill as the window rotates.  kWheelSize = 256 buckets
-  // cover a 262 us window — wide enough that steady-state traffic
-  // almost never touches overflow — and cost 6 KB of headers per
-  // queue, which matters because ShardedEventQueue instantiates one
-  // queue per node shard (the wheel itself is allocated on first use,
-  // so idle shards stay tiny).
+  // cover a 262 us window, wide enough that steady-state traffic almost
+  // never touches overflow.
   static constexpr std::uint32_t kWheelBits = 8;
   static constexpr std::uint32_t kWheelSize = 1u << kWheelBits;
   static constexpr std::uint32_t kWheelMask = kWheelSize - 1;
@@ -262,7 +260,8 @@ class EventQueue {
   }
 
   /// Returns a slot to the free list (callback destroyed, generation
-  /// bumped so outstanding ids to it go stale).
+  /// bumped so outstanding ids to it go stale).  The caller settles
+  /// live_count_ and owner_live_.
   AMTLCE_DES_HOT_INLINE void release(std::uint32_t idx) {
     Slot& s = slots_[idx];
     s.fn.reset();
@@ -456,18 +455,13 @@ class EventQueue {
   std::uint32_t free_head_ = kNoFree;
   std::uint64_t next_seq_ = 0;
   std::size_t live_count_ = 0;
+  /// Live events per owner tag.  Owner 0 (untagged work) is never counted
+  /// here, so plain schedule/cancel/pop pay nothing for the tags.
+  std::vector<std::uint32_t> owner_live_;
 };
 
 template <typename F>
-EventId EventQueue::schedule(Time t, F&& fn) {
-  // No overflow guard on the 40-bit seq: at simulator rates (~1e8
-  // events/sec) it would take >3 wall-clock hours to exhaust, orders of
-  // magnitude past any run here, and the check would tax every schedule.
-  return schedule_seq(t, next_seq_++, std::forward<F>(fn));
-}
-
-template <typename F>
-EventId EventQueue::schedule_seq(Time t, std::uint64_t seq, F&& fn) {
+EventId EventQueue::schedule_on(std::uint32_t owner, Time t, F&& fn) {
   std::uint32_t idx;
   if (free_head_ != kNoFree) {
     idx = free_head_;
@@ -477,10 +471,18 @@ EventId EventQueue::schedule_seq(Time t, std::uint64_t seq, F&& fn) {
     slots_.emplace_back();
     assert(idx <= kSlotMask && "slot index exceeds Entry packing");
   }
+  if (owner != 0) {
+    if (owner >= owner_live_.size()) owner_live_.resize(owner + 1);
+    ++owner_live_[owner];
+  }
   Slot& s = slots_[idx];
   s.fn = std::forward<F>(fn);  // constructed in place for raw callables
   s.time = t;
-  const std::uint64_t key = (seq << kSlotBits) | idx;
+  s.owner = owner;
+  // No overflow guard on the 40-bit seq: at simulator rates (~1e8
+  // events/sec) it would take >3 wall-clock hours to exhaust, orders of
+  // magnitude past any run here, and the check would tax every schedule.
+  const std::uint64_t key = (next_seq_++ << kSlotBits) | idx;
   s.heap_key = key;
   s.live = true;
   insert_entry(t, key);
@@ -493,6 +495,7 @@ inline bool EventQueue::cancel(EventId id) {
   Slot* const s = live_slot(id);
   if (s == nullptr) return false;
   remove_or_tombstone(*s);  // physical removal when cheap, else tombstone
+  if (s->owner != 0) --owner_live_[s->owner];
   release(slot_of(id));
   --live_count_;
   maybe_compact();
@@ -500,11 +503,9 @@ inline bool EventQueue::cancel(EventId id) {
 }
 
 inline bool EventQueue::reschedule(EventId id, Time t) {
-  return reschedule_seq(id, t, next_seq_++);
-}
-
-inline bool EventQueue::reschedule_seq(EventId id, Time t,
-                                       std::uint64_t seq) {
+  // The seq is drawn even when the id is dead, as HeapSlabQueue does, so
+  // the two queues stay seq-for-seq comparable under differential fuzz.
+  const std::uint64_t seq = next_seq_++;
   Slot* const s = live_slot(id);
   if (s == nullptr) return false;
   // The old entry is removed in place when cheap, else goes stale (key
@@ -534,6 +535,7 @@ inline EventQueue::Fired EventQueue::pop() {
   const auto idx = static_cast<std::uint32_t>(e.key & kSlotMask);
   Slot& s = slots_[idx];
   Fired fired{e.time, make_id(idx, s.gen), std::move(s.fn)};
+  if (s.owner != 0) --owner_live_[s.owner];
   release(idx);
   --live_count_;
   maybe_compact();

@@ -42,6 +42,7 @@ struct ExperimentResult {
   double mean_rank = 0;
   double residual = -1;             ///< real mode: ||LL^T - A|| / ||A||
   std::uint64_t tasks = 0;
+  std::uint64_t events_fired = 0;   ///< DES events fired over the run
   /// Snapshot of the fabric/backend metric recorder (wire transit,
   /// put latencies, queue waits — histograms with percentiles).
   obs::Recorder metrics;

@@ -12,8 +12,8 @@ namespace net {
 /// One seeded fail-stop crash: `node` dies at `crash_at` and (optionally)
 /// rejoins at `restart_at`.  While down — the half-open window
 /// [crash_at, restart_at), or [crash_at, inf) when restart_at == 0 — the
-/// node's NIC drops all ingress and egress and its pending DES events are
-/// cancelled on its ShardedEventQueue shard.  Window semantics match the
+/// node's NIC drops all ingress and egress and every pending DES event the
+/// node owns is cancelled (Engine::cancel_owner).  Window semantics match the
 /// brownout/stall rules: a transfer transmitted inside the window is
 /// eaten pre-routing, an arrival inside the window is eaten post-routing.
 struct CrashEvent {

@@ -134,9 +134,9 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
     }
   }
   // Fail-stop crash schedule: per-node windows for the hot-path drop
-  // tests, plus crash/restart control events.  Control events live on
-  // shard 0 so a node's own crash (which cancels its whole shard) can
-  // never cancel its restart.
+  // tests, plus crash/restart control events.  Control events are owned
+  // by owner 0 so a node's own crash (which cancels every event the node
+  // owns) can never cancel its restart.
   crash_start_.resize(static_cast<std::size_t>(num_nodes), des::kTimeNever);
   crash_end_.resize(static_cast<std::size_t>(num_nodes), des::kTimeNever);
   crashed_.resize(static_cast<std::size_t>(num_nodes), false);
@@ -156,7 +156,7 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
 void Fabric::fire_crash(NodeId node) {
   ++fault_stats_.crashes;
   count_fault("net.fault.crashes");
-  const std::size_t n = eng_.cancel_shard(shard_of(node));
+  const std::size_t n = eng_.cancel_owner(shard_of(node));
   obs::FlightRecorder::global().record(node, obs::FlightKind::Crash,
                                        eng_.now(), 0, n);
   fault_stats_.crash_cancelled_events += n;
@@ -265,8 +265,7 @@ void Fabric::set_recorder(obs::Recorder* rec) {
 
 std::uint32_t Fabric::acquire_delivery(Nic& dst, Message&& m) {
   // Per-destination pool: the slot lives with the node that will consume
-  // it, alongside that node's event-queue shard (see Nic for the SoA
-  // layout).
+  // it (see Nic for the SoA layout).
   std::uint32_t slot = dst.delivery_free_;
   if (slot != Nic::kNoDelivery) {
     dst.delivery_free_ = dst.delivery_next_free_[slot];
@@ -358,10 +357,10 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
     if (on_sent) {
       eng_.schedule_on(shard_of(m.src), sent, std::move(on_sent));
     }
-    const auto dst_shard = shard_of(m.dst);
+    const auto dst_owner = shard_of(m.dst);
     Nic* const dstp = &dst;
     const std::uint32_t slot = acquire_delivery(dst, std::move(m));
-    eng_.schedule_on(dst_shard, done, [this, dstp, slot]() {
+    eng_.schedule_on(dst_owner, done, [this, dstp, slot]() {
       deliver_and_release(*dstp, slot);
     });
     return;
@@ -548,10 +547,10 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
     sink->span(track, label, ingress_start, ingress_end - ingress_start);
   }
 
-  const auto dst_shard = shard_of(m.dst);
+  const auto dst_owner = shard_of(m.dst);
   Nic* const dstp = &dst;
   const std::uint32_t slot = acquire_delivery(dst, std::move(m));
-  eng_.schedule_on(dst_shard, ingress_end, [this, dstp, slot]() {
+  eng_.schedule_on(dst_owner, ingress_end, [this, dstp, slot]() {
     deliver_and_release(*dstp, slot);
   });
 
@@ -577,7 +576,7 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
       sink->span(track, label, ingress_end, dup_end - ingress_end);
     }
     const std::uint32_t dslot = acquire_delivery(dst, std::move(*dup));
-    eng_.schedule_on(dst_shard, dup_end, [this, dstp, dslot]() {
+    eng_.schedule_on(dst_owner, dup_end, [this, dstp, dslot]() {
       deliver_and_release(*dstp, dslot);
     });
   }

@@ -198,7 +198,7 @@ class Fabric {
   }
 
   /// Registers a callback fired when a node's fail-stop state changes:
-  /// fn(node, false) at crash time (after the node's shard events were
+  /// fn(node, false) at crash time (after the events the node owns were
   /// cancelled), fn(node, true) at restart.  Handlers are invoked in
   /// registration order and are never removed — register for the
   /// fabric's lifetime.
@@ -235,9 +235,10 @@ class Fabric {
   void check_node(const char* what, NodeId n) const;
 
  public:
-  /// DES shard carrying a node's events (deliveries, completions,
-  /// per-node protocol timers).  Shard 0 is reserved for non-node work
-  /// (global timers, protocol clocks).
+  /// DES owner tag of a node's events (deliveries, completions,
+  /// per-node protocol timers): a crash of the node cancels exactly the
+  /// events it owns.  Owner 0 is reserved for non-node work (global
+  /// timers, protocol clocks).
   static std::uint32_t shard_of(NodeId node) {
     return static_cast<std::uint32_t>(node) + 1;
   }

@@ -74,13 +74,6 @@ class Differ {
     ASSERT_EQ(a, b) << "reschedule liveness diverged for tag " << m.tag;
   }
 
-  void reschedule_seq(std::size_t idx, Time t, std::uint64_t seq) {
-    const Mirrored m = live_[idx];
-    const bool a = hybrid_.reschedule_seq(m.hybrid, t, seq);
-    const bool b = heapslab_.reschedule_seq(m.heapslab, t, seq);
-    ASSERT_EQ(a, b) << "reschedule_seq liveness diverged for tag " << m.tag;
-  }
-
   // Pops one event from each queue and asserts identical (time, tag).
   void pop_one() {
     ASSERT_EQ(hybrid_.empty(), heapslab_.empty());
@@ -163,11 +156,9 @@ TEST(QueueDifferential, RandomizedOpMixMatchesReference) {
                          : now + delta;
       d.reschedule(rng.below(d.tracked()), t);
     } else if (d.tracked() > 0) {
-      // Explicit-seq reschedule, the crash-recovery replay path: a
-      // far-future seq must not disturb relative order of later pops.
+      // Forward-only reschedule across the whole wheel geometry.
       const Time delta = kDeltas[rng.below(std::size(kDeltas))];
-      d.reschedule_seq(rng.below(d.tracked()), now + delta,
-                       (1u << 30) + static_cast<std::uint64_t>(op));
+      d.reschedule(rng.below(d.tracked()), now + delta);
     }
     if ((op & 1023) == 0) d.check_sizes();
     now += static_cast<Time>(rng.below(512));

@@ -3,8 +3,8 @@
 // Each row pins the EXACT time-to-solution, message count, byte count,
 // and critical-path finish of a small model-mode TLR-Cholesky run under
 // the default two-level fabric preset.  These values were captured from
-// the pre-topology build; the sharded event queue, per-node delivery
-// slabs, and fat-tree plumbing must all reproduce them to the last bit
+// the pre-topology build; the event queue, per-node delivery slabs, and
+// fat-tree plumbing must all reproduce them to the last bit
 // — any drift here means a published figure silently changed.
 //
 // If a deliberate model change invalidates these rows, re-capture them
@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "hicma/driver.hpp"
+#include "net/config.hpp"
 
 namespace {
 
@@ -69,6 +70,74 @@ TEST(Fingerprint, Fig5PipelineIsBitIdenticalToBaseline) {
     EXPECT_EQ(res.fabric_bytes, fp.bytes);
     EXPECT_EQ(res.runtime_stats.crit.finish_g, fp.crit);
   }
+}
+
+// The same pipeline at 256 nodes on the explicit-link fat tree: the
+// scale at which every node's events interleave in the DES queue, so any
+// drift in the queue's global (time, seq) order shows up here first.
+// Captured before the per-node queue shards were collapsed into one
+// owner-tagged queue; events_fired pins the DES event count as well.
+struct ScaleFingerprint {
+  ce::BackendKind backend;
+  double tts_s;
+  std::uint64_t msgs;
+  std::uint64_t bytes;
+  std::int64_t crit;
+  std::uint64_t events;
+};
+
+constexpr ScaleFingerprint kExpectedFatTree256[] = {
+    {ce::BackendKind::Lci, 2.7579189710000001, 6447, 5566459572, 2757918971,
+     34144},
+    {ce::BackendKind::Mpi, 2.7586092400000002, 6447, 5566459572, 2758609240,
+     17349},
+};
+
+TEST(Fingerprint, FatTree256IsBitIdenticalToBaseline) {
+  for (const ScaleFingerprint& fp : kExpectedFatTree256) {
+    hicma::ExperimentConfig cfg;
+    cfg.nodes = 256;
+    cfg.backend = fp.backend;
+    cfg.fabric = net::expanse_fat_tree_config();
+    cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
+    cfg.tlr.n = 36000;
+    cfg.tlr.nb = 3000;
+    const auto res = hicma::run_tlr_cholesky(cfg);
+    SCOPED_TRACE(fp.backend == ce::BackendKind::Lci ? "lci" : "mpi");
+    EXPECT_EQ(res.tts_s, fp.tts_s);
+    EXPECT_EQ(res.fabric_messages, fp.msgs);
+    EXPECT_EQ(res.fabric_bytes, fp.bytes);
+    EXPECT_EQ(res.runtime_stats.crit.finish_g, fp.crit);
+    EXPECT_EQ(res.events_fired, fp.events);
+  }
+}
+
+// One fail-stop crash under the full fault-tolerance stack (reliable
+// sublayer, failure detector, lineage re-execution).  The crash cancels
+// every pending DES event the victim owns; the cancelled count and the
+// recovered run's TTS and message count pin that path bit for bit.
+TEST(Fingerprint, CrashRecoveryIsBitIdenticalToBaseline) {
+  hicma::ExperimentConfig cfg;
+  cfg.nodes = 8;
+  cfg.backend = ce::BackendKind::Lci;
+  cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
+  cfg.tlr.n = 36000;
+  cfg.tlr.nb = 3000;
+  cfg.rt.ft.enabled = true;
+  cfg.ce.fd.enabled = true;
+  cfg.ce.reliable.enabled = true;
+  cfg.fabric.faults.crashes.push_back(net::CrashEvent{5, 900'000'000, 0});
+  const auto res = hicma::run_tlr_cholesky(cfg);
+  const obs::Counter* crashes = res.metrics.find_counter("net.fault.crashes");
+  const obs::Counter* cancelled =
+      res.metrics.find_counter("net.fault.crash_cancelled");
+  ASSERT_NE(crashes, nullptr);
+  ASSERT_NE(cancelled, nullptr);
+  EXPECT_EQ(crashes->value(), 1u);
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(res.tts_s, 3.1027536840000001);
+  EXPECT_EQ(res.fabric_messages, 37042u);
+  EXPECT_EQ(cancelled->value(), 15u);
 }
 
 }  // namespace
