@@ -5,9 +5,10 @@
 # the sampler at its default cadence costs <= 5% on engine schedule/pop,
 # and the always-on flight recorder <= 1% of an end-to-end run.  Those two
 # ratios are the only wall-clock-derived values any smoke script checks
-# against a threshold — perf_core measures them as best-of-9 interleaved
-# ratios (sampler) and a direct per-record cost share (recorder), so they
-# are stable on a loaded machine where raw throughputs are not.  Invoked:
+# against a threshold — perf_core measures them as a best-of-27 ratio of
+# interleaved same-engine pairs (sampler) and a direct per-record cost
+# share (recorder), so they are stable on a loaded machine where raw
+# throughputs are not.  Invoked:
 #   cmake -DTLR_EXAMPLE=<binary> -DPERF_CORE=<binary> -DWORK_DIR=<dir> \
 #         -P timeline_smoke.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
