@@ -179,7 +179,7 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
         rreg.base == nullptr
             ? nullptr
             : static_cast<std::byte*>(rreg.base) + rdispl);
-    ds.imm = pack_handshake(h, r_cb_data, nullptr, 0);
+    pack_handshake(ds.imm, h, r_cb_data, nullptr, 0);
     ds.local_done.kind = DataHandle::Kind::LocalDone;
     ds.local_done.l_cb = std::move(l_cb);
     ds.local_done.l_cb_data = l_cb_data;
@@ -206,7 +206,8 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
     // §5.3.3: small data rides inside the handshake; no Direct transfer,
     // and the local completion callback runs immediately.
     h.flags |= kHandshakeEagerData;
-    const auto body = pack_handshake(h, r_cb_data, src, size);
+    std::vector<std::byte> body;
+    pack_handshake(body, h, r_cb_data, src, size);
     if (send_wire_am(remote, kLciHandshakeTag, body.data(), body.size()) !=
         mlci::Status::Ok) {
       PendingSend ps;
@@ -230,7 +231,8 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
     return 0;
   }
 
-  const auto body = pack_handshake(h, r_cb_data, nullptr, 0);
+  std::vector<std::byte> body;
+  pack_handshake(body, h, r_cb_data, nullptr, 0);
   if (send_wire_am(remote, kLciHandshakeTag, body.data(), body.size()) !=
       mlci::Status::Ok) {
     PendingSend ps;

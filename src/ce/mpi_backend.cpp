@@ -41,19 +41,35 @@ void MpiBackend::set_wake_callback(std::function<void()> fn) {
   rank_.set_event_notifier(wake_);
 }
 
+void MpiBackend::set_recorder(obs::Recorder* rec) {
+  rec_ = rec;
+  put_local_ns_ = rec != nullptr ? &rec->histogram("ce.put_local_ns") : nullptr;
+  put_remote_ns_ =
+      rec != nullptr ? &rec->histogram("ce.put_remote_ns") : nullptr;
+}
+
+const MpiBackend::AmTagInfo* MpiBackend::find_tag(Tag tag) const {
+  for (const AmTagInfo& t : tags_) {
+    if (t.tag == tag) return &t;
+  }
+  return nullptr;
+}
+
 Status MpiBackend::tag_reg(Tag tag, AmCallback cb, void* cb_data,
                            std::size_t max_len) {
-  if (tags_.contains(tag)) return Status::ErrTagDuplicate;
-  tags_.emplace(tag, AmTagInfo{std::move(cb), cb_data, max_len});
+  if (find_tag(tag) != nullptr) return Status::ErrTagDuplicate;
+  const std::size_t am = tags_.size();
+  tags_.push_back(AmTagInfo{tag, std::move(cb), cb_data, max_len});
   // Five persistent wildcard receives per tag (§4.2.1).
   for (int i = 0; i < cfg_.persistent_recvs_per_tag; ++i) {
     Entry e;
     e.kind = Entry::Kind::AmRecv;
-    e.am_tag = tag;
-    e.buffer = std::make_shared<std::vector<std::byte>>(max_len);
-    e.req = rank_.recv_init(e.buffer->data(), max_len, mmpi::kAnySource, tag);
+    e.am = am;
+    e.buffer.resize(max_len);
+    e.req = rank_.recv_init(e.buffer.data(), max_len, mmpi::kAnySource, tag);
     rank_.start(e.req);
     entries_.push_back(std::move(e));
+    ++am_entries_;
   }
   return Status::Ok;
 }
@@ -64,22 +80,14 @@ MemReg MpiBackend::mem_reg(void* mem, std::size_t size) {
 
 Status MpiBackend::send_am(Tag tag, int remote, const void* msg,
                            std::size_t size) {
-  const auto it = tags_.find(tag);
-  if (it == tags_.end()) return Status::ErrTagUnregistered;
+  const AmTagInfo* t = find_tag(tag);
+  if (t == nullptr) return Status::ErrTagUnregistered;
   // Oversized bodies would overflow the posted receive buffers.
-  if (size > it->second.max_len) return Status::ErrTooLarge;
+  if (size > t->max_len) return Status::ErrTooLarge;
   // Blocking eager MPI_Send with the registered tag (§4.2.1).
   rank_.send(msg, size, remote, tag);
   ++stats_.ams_sent;
   return Status::Ok;
-}
-
-int MpiBackend::data_entries_active() const {
-  int n = 0;
-  for (const Entry& e : entries_) {
-    if (e.kind != Entry::Kind::AmRecv) ++n;
-  }
-  return n;
 }
 
 int MpiBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
@@ -98,8 +106,10 @@ int MpiBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
   h.r_tag = r_tag;
   h.data_tag = data_tag;
   h.r_cb_size = static_cast<std::uint32_t>(r_cb_data_size);
-  const auto buf = pack_handshake(h, r_cb_data, nullptr, 0);
-  rank_.send(buf.data(), buf.size(), remote, kHandshakeTag);
+  // Blocking eager send: the buffer is reusable when it returns.
+  pack_handshake(handshake_buf_, h, r_cb_data, nullptr, 0);
+  rank_.send(handshake_buf_.data(), handshake_buf_.size(), remote,
+             kHandshakeTag);
   des::emit_flow(rank_.engine(), "put", put_flow_id(rank(), data_tag),
                  /*begin=*/true);
 
@@ -142,6 +152,10 @@ void MpiBackend::handle_handshake(const void* msg, std::size_t size,
   e.kind = Entry::Kind::DataRecv;
   e.r_tag = v.hdr.r_tag;
   if (v.hdr.r_cb_size > 0) {
+    if (!cb_spares_.empty()) {
+      e.r_cb_data = std::move(cb_spares_.back());
+      cb_spares_.pop_back();
+    }
     e.r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
   }
   e.origin = src;
@@ -176,20 +190,18 @@ void MpiBackend::drain_pending() {
   }
 }
 
-void MpiBackend::run_am_callback(Entry& e, const mmpi::MpiStatus& st) {
+void MpiBackend::run_am_callback(const Entry& e, const mmpi::MpiStatus& st) {
   des::charge_current(cfg_.dispatch_cost);
-  const auto it = tags_.find(e.am_tag);
-  assert(it != tags_.end());
+  const AmTagInfo& t = tags_[e.am];
   ++stats_.ams_delivered;
   std::optional<des::ChargeSpan> span;
   if (rank_.engine().trace_sink() != nullptr) {
     char label[32];
     std::snprintf(label, sizeof label, "am 0x%llx",
-                  static_cast<unsigned long long>(e.am_tag));
+                  static_cast<unsigned long long>(t.tag));
     span.emplace(rank_.engine(), label);
   }
-  it->second.cb(*this, e.am_tag, e.buffer->data(), st.count, st.source,
-                it->second.cb_data);
+  t.cb(*this, t.tag, e.buffer.data(), st.count, st.source, t.cb_data);
 }
 
 int MpiBackend::progress() {
@@ -198,16 +210,14 @@ int MpiBackend::progress() {
   // repeat until a pass completes nothing.
   for (;;) {
     des::charge_current(cfg_.loop_cost);
-    std::vector<mmpi::RequestId> ids;
-    ids.reserve(entries_.size());
-    for (const Entry& e : entries_) ids.push_back(e.req);
-    const auto res = rank_.testsome(ids);
-    if (res.indices.empty()) break;
+    ids_.clear();
+    for (const Entry& e : entries_) ids_.push_back(e.req);
+    rank_.testsome(ids_, done_);
+    if (done_.indices.empty()) break;
 
-    std::vector<bool> done(entries_.size(), false);
-    for (std::size_t k = 0; k < res.indices.size(); ++k) {
-      const std::size_t idx = res.indices[k];
-      const mmpi::MpiStatus& st = res.statuses[k];
+    for (std::size_t k = 0; k < done_.indices.size(); ++k) {
+      const std::size_t idx = done_.indices[k];
+      const mmpi::MpiStatus& st = done_.statuses[k];
       // Callbacks may append entries (reentrant put/send_am): access by
       // index, never hold references across a callback.
       switch (entries_[idx].kind) {
@@ -220,9 +230,9 @@ int MpiBackend::progress() {
           des::charge_current(cfg_.dispatch_cost);
           Entry& e = entries_[idx];
           ++stats_.puts_completed_local;
-          if (rec_ != nullptr) {
-            rec_->histogram("ce.put_local_ns")
-                .add(static_cast<double>(rank_.engine().now() - e.started));
+          if (put_local_ns_ != nullptr) {
+            put_local_ns_->add(
+                static_cast<double>(rank_.engine().now() - e.started));
           }
           if (e.l_cb) {
             std::optional<des::ChargeSpan> span;
@@ -232,7 +242,6 @@ int MpiBackend::progress() {
             e.l_cb(*this, e.lreg, e.ldispl, e.rreg, e.rdispl, e.size,
                    e.remote, e.l_cb_data);
           }
-          done[idx] = true;
           break;
         }
         case Entry::Kind::DataRecv: {
@@ -241,12 +250,12 @@ int MpiBackend::progress() {
           // Remote completion: invoke the AM callback registered for
           // r_tag with the callback data from the handshake.
           const Entry& e = entries_[idx];
-          if (rec_ != nullptr) {
-            rec_->histogram("ce.put_remote_ns")
-                .add(static_cast<double>(rank_.engine().now() - e.started));
+          if (put_remote_ns_ != nullptr) {
+            put_remote_ns_->add(
+                static_cast<double>(rank_.engine().now() - e.started));
           }
-          const auto it = tags_.find(e.r_tag);
-          assert(it != tags_.end() && "put r_tag not registered");
+          const AmTagInfo* t = find_tag(e.r_tag);
+          assert(t != nullptr && "put r_tag not registered");
           std::optional<des::ChargeSpan> span;
           if (rank_.engine().trace_sink() != nullptr) {
             span.emplace(rank_.engine(), "put.r_cb");
@@ -254,25 +263,33 @@ int MpiBackend::progress() {
           des::emit_flow(rank_.engine(), "put",
                          put_flow_id(e.origin, e.data_tag),
                          /*begin=*/false);
-          it->second.cb(*this, e.r_tag, e.r_cb_data.data(),
-                        e.r_cb_data.size(), e.origin, it->second.cb_data);
-          done[idx] = true;
+          t->cb(*this, e.r_tag, e.r_cb_data.data(), e.r_cb_data.size(),
+                e.origin, t->cb_data);
+          // Keep the buffer for the next handshake's callback data.
+          std::vector<std::byte>& spent = entries_[idx].r_cb_data;
+          if (spent.capacity() > 0) cb_spares_.push_back(std::move(spent));
           break;
         }
       }
       ++total;
     }
 
-    // Compact: completed non-persistent entries leave; free space is at
-    // the back.  Entries appended by callbacks (index >= done.size())
-    // are kept.
-    std::vector<Entry> kept;
-    kept.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (i < done.size() && done[i]) continue;
-      kept.push_back(std::move(entries_[i]));
+    // Compact in place: completed data entries leave, persistent AM
+    // receives stay.  Stable, because array order is testsome index
+    // order, which is callback order; entries appended by callbacks
+    // stay at the back.
+    const std::vector<std::size_t>& done = done_.indices;
+    std::size_t w = done.front();
+    for (std::size_t i = w, k = 0; i < entries_.size(); ++i) {
+      if (k < done.size() && done[k] == i) {
+        ++k;
+        if (entries_[i].kind != Entry::Kind::AmRecv) continue;
+      }
+      if (w != i) entries_[w] = std::move(entries_[i]);
+      ++w;
     }
-    entries_ = std::move(kept);
+    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
+                   entries_.end());
 
     drain_pending();
   }
@@ -285,15 +302,16 @@ void MpiBackend::peer_failed(int remote) {
   // is not permanently consumed by a corpse.  Idempotent — after the
   // first call nothing matching `remote` remains.
   std::size_t recvs = 0;
-  std::vector<Entry> kept;
   std::vector<Entry> released_sends;
-  kept.reserve(entries_.size());
-  for (Entry& e : entries_) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    Entry& e = entries_[i];
     const bool doomed =
         (e.kind == Entry::Kind::DataSend && e.remote == remote) ||
         (e.kind == Entry::Kind::DataRecv && e.origin == remote);
     if (!doomed) {
-      kept.push_back(std::move(e));
+      if (w != i) entries_[w] = std::move(e);  // stable, in place
+      ++w;
       continue;
     }
     rank_.cancel(e.req);
@@ -310,7 +328,8 @@ void MpiBackend::peer_failed(int remote) {
       ++recvs;
     }
   }
-  entries_ = std::move(kept);
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
+                 entries_.end());
 
   // Deferred work targeting the corpse: deferred sends were never posted
   // (req unset); dynamic recvs hold a live request that must be dropped.
@@ -348,10 +367,7 @@ void MpiBackend::peer_failed(int remote) {
 bool MpiBackend::idle() const {
   if (!pending_.empty()) return false;
   if (rank_.pending_incoming() > 0) return false;
-  for (const Entry& e : entries_) {
-    if (e.kind != Entry::Kind::AmRecv) return false;
-  }
-  return true;
+  return data_entries_active() == 0;
 }
 
 }  // namespace ce

@@ -16,16 +16,23 @@
 //   * progress() loops MPI_Testsome over the array, runs callbacks for
 //     completions, compacts, starts deferred work FIFO, and repeats until
 //     a pass completes nothing (§4.2.3).
+//
+// The modeled costs above are charged in simulated time.  On the host a
+// progress pass that completes nothing allocates nothing: the request-id
+// array, the testsome result and the handshake buffer are members reused
+// across passes, and the array is compacted in place.
 #pragma once
 
 #include <cstddef>
 #include <deque>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "ce/comm_engine.hpp"
 #include "mmpi/mpi.hpp"
+
+namespace obs {
+class Histogram;
+}
 
 namespace ce {
 
@@ -51,10 +58,11 @@ class MpiBackend final : public CommEngine {
   bool idle() const override;
   void set_wake_callback(std::function<void()> fn) override;
   const CeStats& stats() const override { return stats_; }
-  void set_recorder(obs::Recorder* rec) override { rec_ = rec; }
+  void set_recorder(obs::Recorder* rec) override;
 
  private:
   struct AmTagInfo {
+    Tag tag = 0;
     AmCallback cb;
     void* cb_data = nullptr;
     std::size_t max_len = 0;
@@ -65,9 +73,10 @@ class MpiBackend final : public CommEngine {
     enum class Kind { AmRecv, DataSend, DataRecv };
     Kind kind = Kind::AmRecv;
     mmpi::RequestId req = mmpi::kNullRequest;
-    // AmRecv: the registered tag and its receive buffer.
-    Tag am_tag = 0;
-    std::shared_ptr<std::vector<std::byte>> buffer;
+    // AmRecv: index of the registered tag in tags_, and the receive
+    // buffer (its bytes stay put when the entry moves).
+    std::size_t am = 0;
+    std::vector<std::byte> buffer;
     // DataSend: origin-side completion.
     OnesidedCallback l_cb;
     void* l_cb_data = nullptr;
@@ -76,7 +85,8 @@ class MpiBackend final : public CommEngine {
     std::size_t size = 0;
     int remote = -1;
     std::uint64_t data_tag = 0;
-    // DataRecv: remote-completion callback data.
+    // DataRecv: remote-completion callback data (a buffer recycled
+    // through cb_spares_).
     Tag r_tag = 0;
     std::vector<std::byte> r_cb_data;
     int origin = -1;
@@ -92,21 +102,35 @@ class MpiBackend final : public CommEngine {
     Entry entry;  ///< fully formed; req set for PromoteRecv only
   };
 
-  int data_entries_active() const;
+  int data_entries_active() const {
+    return static_cast<int>(entries_.size() - am_entries_);
+  }
+  const AmTagInfo* find_tag(Tag tag) const;
   void start_data_send(Entry&& e);
   void drain_pending();
   void handle_handshake(const void* msg, std::size_t size, int src);
-  void run_am_callback(Entry& e, const mmpi::MpiStatus& st);
+  void run_am_callback(const Entry& e, const mmpi::MpiStatus& st);
 
   mmpi::Rank& rank_;
   CeConfig cfg_;
   CeStats stats_;
-  std::unordered_map<Tag, AmTagInfo> tags_;
+  /// Registered AM tags, in registration order.  A handful at most, so a
+  /// linear scan beats hashing; tag_reg must not run inside a callback.
+  std::vector<AmTagInfo> tags_;
   std::vector<Entry> entries_;        ///< the global array
+  std::size_t am_entries_ = 0;        ///< AmRecv entries (never leave)
   std::deque<Pending> pending_;       ///< deferred sends + dynamic recvs
   std::uint64_t next_data_tag_;
   std::function<void()> wake_;
   obs::Recorder* rec_ = nullptr;
+  obs::Histogram* put_local_ns_ = nullptr;   ///< null without a recorder
+  obs::Histogram* put_remote_ns_ = nullptr;
+
+  // Host scratch reused across progress passes.
+  std::vector<mmpi::RequestId> ids_;         ///< entries_[i].req
+  mmpi::Rank::TestsomeResult done_;          ///< this pass's completions
+  std::vector<std::byte> handshake_buf_;     ///< packed outgoing handshake
+  std::vector<std::vector<std::byte>> cb_spares_;  ///< released r_cb_data
 };
 
 }  // namespace ce

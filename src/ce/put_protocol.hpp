@@ -41,12 +41,13 @@ inline std::uint64_t put_flow_id(int origin, std::uint64_t data_tag) {
                      << 40);
 }
 
-/// Serializes header + callback data (+ optional eager payload bytes).
-inline std::vector<std::byte> pack_handshake(const PutHandshake& h,
-                                             const void* r_cb_data,
-                                             const void* eager_data,
-                                             std::size_t eager_size) {
-  std::vector<std::byte> buf(sizeof(PutHandshake) + h.r_cb_size + eager_size);
+/// Serializes header + callback data (+ optional eager payload bytes;
+/// zeros when `eager_data` is null) into `buf`, replacing its contents.
+/// A reused `buf` allocates only when it must grow.
+inline void pack_handshake(std::vector<std::byte>& buf, const PutHandshake& h,
+                           const void* r_cb_data, const void* eager_data,
+                           std::size_t eager_size) {
+  buf.assign(sizeof(PutHandshake) + h.r_cb_size + eager_size, std::byte{0});
   std::memcpy(buf.data(), &h, sizeof h);
   if (h.r_cb_size > 0) {
     assert(r_cb_data != nullptr);
@@ -55,7 +56,6 @@ inline std::vector<std::byte> pack_handshake(const PutHandshake& h,
   if (eager_size > 0 && eager_data != nullptr) {
     std::memcpy(buf.data() + sizeof h + h.r_cb_size, eager_data, eager_size);
   }
-  return buf;
 }
 
 /// View into a packed handshake message.

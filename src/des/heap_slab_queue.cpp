@@ -11,18 +11,6 @@ void HeapSlabQueue::compact() {
   heap_rebuild();
 }
 
-std::size_t HeapSlabQueue::cancel_all() {
-  std::size_t n = 0;
-  for (std::uint32_t idx = 0; idx < slots_.size(); ++idx) {
-    if (!slots_[idx].live) continue;
-    release(idx);
-    ++n;
-  }
-  heap_.clear();
-  live_count_ = 0;
-  return n;
-}
-
 void HeapSlabQueue::heap_rebuild() {
   if (heap_.size() < 2) return;
   for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {

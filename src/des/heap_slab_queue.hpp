@@ -1,6 +1,6 @@
-// The PR-4 binary-heap slot-slab event queue, preserved verbatim as a
-// reference implementation after EventQueue moved to the calendar/
-// timing-wheel hybrid.
+// The binary-heap slot-slab event queue that preceded the calendar/
+// timing-wheel hybrid, preserved as a reference implementation (minus its
+// bulk cancel, which nothing used).
 //
 // Two consumers keep it alive:
 //   * tests/des/queue_differential_test.cpp pops it side-by-side with the
@@ -46,8 +46,6 @@ class HeapSlabQueue {
 
   AMTLCE_DES_HOT_INLINE bool reschedule_seq(EventId id, Time t,
                                             std::uint64_t seq);
-
-  std::size_t cancel_all();
 
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }

@@ -1,5 +1,6 @@
 #include "mmpi/mpi.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -23,7 +24,7 @@ Mpi::Mpi(net::Fabric& fabric, Config config)
   const int n = fabric.num_nodes();
   ranks_.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    ranks_.emplace_back(std::unique_ptr<Rank>(new Rank(*this, r)));
+    ranks_.emplace_back(std::unique_ptr<Rank>(new Rank(*this, r, n)));
     fabric.nic(r).set_deliver_handler([this, r](net::Message&& m) {
       if (m.hdr.proto == net::kProtoMpi) rank(r).deliver(std::move(m));
     });
@@ -40,7 +41,59 @@ int Rank::size() const { return mpi_.size(); }
 
 des::Engine& Rank::engine() { return mpi_.fabric().engine(); }
 
-std::uint64_t Rank::next_seq(int dst) { return send_seq_[dst]++; }
+std::uint64_t Rank::next_seq(int dst) {
+  return send_seq_[static_cast<std::size_t>(dst)]++;
+}
+
+// ---------------------------------------------------------------------------
+// Request table
+
+Rank::Request& Rank::alloc_request() {
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Request& r = slots_[slot];
+  r.id = (static_cast<RequestId>(r.gen) << 32) | (RequestId{slot} + 1);
+  return r;
+}
+
+Rank::Request* Rank::find(RequestId id) {
+  // kNullRequest wraps to slot 0xFFFFFFFF and misses.  A free slot's
+  // generation is one no id has been issued with yet, so every id misses.
+  const std::uint32_t slot = static_cast<std::uint32_t>(id) - 1u;
+  if (slot >= slots_.size()) return nullptr;
+  Request& r = slots_[slot];
+  return r.gen == static_cast<std::uint32_t>(id >> 32) ? &r : nullptr;
+}
+
+void Rank::mark_complete(Request& r) {
+  if (r.state != Request::State::Complete) ++unreported_;
+  r.state = Request::State::Complete;
+}
+
+void Rank::report(Request& r) {
+  assert(r.state == Request::State::Complete);
+  if (r.persistent) {
+    --unreported_;
+    r.state = Request::State::Inactive;
+  } else {
+    release(r);
+  }
+}
+
+void Rank::release(Request& r) {
+  if (r.state == Request::State::Complete) --unreported_;
+  const std::uint32_t gen = r.gen + 1;
+  const auto slot = static_cast<std::uint32_t>(&r - slots_.data());
+  r = Request{};  // drops a staged payload now, not at slot reuse
+  r.gen = gen;
+  free_slots_.push_back(slot);
+}
 
 void Rank::charge_thread_switch() {
   des::SimThread* caller = des::SimThread::current();
@@ -87,30 +140,26 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   if (bytes <= cfg.eager_threshold) {
     // Eager: buffered semantics, locally complete at the call.
     send(buf, bytes, dst, tag);
-    auto req = std::make_unique<Request>();
-    req->kind = Request::Kind::Send;
-    req->state = Request::State::Complete;
-    req->dst = dst;
-    req->tag = tag;
-    req->bytes = bytes;
-    req->id = mpi_.next_request_id_++;
-    const RequestId id = req->id;
-    requests_.emplace(id, std::move(req));
-    return id;
+    Request& req = alloc_request();
+    req.kind = Request::Kind::Send;
+    req.dst = dst;
+    req.tag = tag;
+    req.bytes = bytes;
+    mark_complete(req);
+    return req.id;
   }
 
   charge_thread_switch();
   des::charge_current(cfg.call_overhead + cfg.rendezvous_cost);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Send;
-  req->state = Request::State::Active;
-  req->sbuf = buf;
-  req->bytes = bytes;
-  req->dst = dst;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  if (buf != nullptr) req->staged = net::make_payload(buf, bytes);
-  const RequestId id = req->id;
+  Request& req = alloc_request();
+  req.kind = Request::Kind::Send;
+  req.state = Request::State::Active;
+  req.sbuf = buf;
+  req.bytes = bytes;
+  req.dst = dst;
+  req.tag = tag;
+  if (buf != nullptr) req.staged = net::make_payload(buf, bytes);
+  const RequestId id = req.id;
 
   net::Message rts;
   rts.src = rank_;
@@ -123,8 +172,6 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   rts.hdr.size = bytes;
   rts.hdr.imm[0] = id;
   mpi_.fabric_.nic(rank_).send(std::move(rts));
-
-  requests_.emplace(id, std::move(req));
   return id;
 }
 
@@ -133,58 +180,48 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
 
 RequestId Rank::irecv(void* buf, std::size_t capacity, int src, Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Recv;
-  req->state = Request::State::Active;
-  req->rbuf = buf;
-  req->capacity = capacity;
-  req->src = src;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  const RequestId id = req->id;
-  requests_.emplace(id, std::move(req));
+  Request& req = alloc_request();
+  req.kind = Request::Kind::Recv;
+  req.state = Request::State::Active;
+  req.rbuf = buf;
+  req.capacity = capacity;
+  req.src = src;
+  req.tag = tag;
+  const RequestId id = req.id;
   post_recv(id);
   return id;
 }
 
 RequestId Rank::recv_init(void* buf, std::size_t capacity, int src, Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Recv;
-  req->state = Request::State::Inactive;
-  req->persistent = true;
-  req->rbuf = buf;
-  req->capacity = capacity;
-  req->src = src;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  const RequestId id = req->id;
-  requests_.emplace(id, std::move(req));
-  return id;
+  Request& req = alloc_request();
+  req.kind = Request::Kind::Recv;
+  req.persistent = true;
+  req.rbuf = buf;
+  req.capacity = capacity;
+  req.src = src;
+  req.tag = tag;
+  return req.id;
 }
 
 RequestId Rank::send_init(const void* buf, std::size_t bytes, int dst,
                           Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto req = std::make_unique<Request>();
-  req->kind = Request::Kind::Send;
-  req->state = Request::State::Inactive;
-  req->persistent = true;
-  req->sbuf = buf;
-  req->bytes = bytes;
-  req->dst = dst;
-  req->tag = tag;
-  req->id = mpi_.next_request_id_++;
-  const RequestId id = req->id;
-  requests_.emplace(id, std::move(req));
-  return id;
+  Request& req = alloc_request();
+  req.kind = Request::Kind::Send;
+  req.persistent = true;
+  req.sbuf = buf;
+  req.bytes = bytes;
+  req.dst = dst;
+  req.tag = tag;
+  return req.id;
 }
 
 void Rank::start(RequestId id) {
   des::charge_current(mpi_.cfg_.call_overhead);
-  auto it = requests_.find(id);
-  assert(it != requests_.end() && "start() on unknown request");
-  Request& r = *it->second;
+  Request* found = find(id);
+  assert(found != nullptr && "start() on unknown request");
+  Request& r = *found;
   assert(r.persistent && r.state == Request::State::Inactive);
   r.state = Request::State::Active;
   if (r.kind == Request::Kind::Recv) {
@@ -193,35 +230,35 @@ void Rank::start(RequestId id) {
     // Persistent send: re-issue as an eager or rendezvous send.
     if (r.bytes <= mpi_.cfg_.eager_threshold) {
       send(r.sbuf, r.bytes, r.dst, r.tag);
-      r.state = Request::State::Complete;
+      mark_complete(r);
     } else {
+      // isend() may grow the table: `r` is not used past this call.
       const RequestId tmp = isend(r.sbuf, r.bytes, r.dst, r.tag);
       // Track the underlying transfer by aliasing: completion of the
       // temporary marks the persistent request complete.
-      requests_.at(tmp)->imm_alias = id;
+      find(tmp)->imm_alias = id;
     }
   }
 }
 
 void Rank::post_recv(RequestId id) {
-  Request& r = *requests_.at(id);
+  Request& r = *find(id);
   const Config& cfg = mpi_.cfg_;
 
   // First, search the unexpected queue (FIFO preserves MPI's
   // non-overtaking matching order).
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+  for (std::size_t i = 0; i < unexpected_.size(); ++i) {
     des::charge_current(cfg.match_scan_cost);
-    net::Message& m = *it;
+    const net::Message& m = unexpected_[i];
     const bool src_ok = (r.src == kAnySource || r.src == m.src);
     if (!src_ok || r.tag != m.hdr.tag) continue;
     if (m.hdr.kind == kEager) {
-      complete_recv_from_message(r, m);
-      unexpected_.erase(it);
+      net::Message eager = unexpected_.take(i);
+      complete_recv_from_message(r, eager);
       return;
     }
     if (m.hdr.kind == kRts) {
-      net::Message rts = std::move(m);
-      unexpected_.erase(it);
+      net::Message rts = unexpected_.take(i);
       accept_rts(r, rts);
       return;
     }
@@ -258,7 +295,7 @@ void Rank::complete_recv_from_message(Request& r, net::Message& m) {
   r.status.source = m.src;
   r.status.tag = m.hdr.tag;
   r.status.count = copied;
-  r.state = Request::State::Complete;
+  mark_complete(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +305,7 @@ Rank::Request* Rank::find_matching_posted(int src, Tag tag) {
   const Config& cfg = mpi_.cfg_;
   for (auto it = posted_recvs_.begin(); it != posted_recvs_.end(); ++it) {
     des::charge_current(cfg.match_scan_cost);
-    Request& r = *requests_.at(*it);
+    Request& r = *find(*it);
     const bool src_ok = (r.src == kAnySource || r.src == src);
     if (src_ok && r.tag == tag) {
       posted_recvs_.erase(it);
@@ -299,9 +336,9 @@ void Rank::handle_rts(net::Message& m) {
 void Rank::handle_cts(net::Message& m) {
   const Config& cfg = mpi_.cfg_;
   des::charge_current(cfg.rendezvous_cost);
-  auto it = requests_.find(m.hdr.imm[0]);
-  assert(it != requests_.end() && "CTS for unknown send request");
-  Request& r = *it->second;
+  Request* found = find(m.hdr.imm[0]);
+  assert(found != nullptr && "CTS for unknown send request");
+  Request& r = *found;
   net::Message data;
   data.src = rank_;
   data.dst = m.src;
@@ -317,26 +354,24 @@ void Rank::handle_cts(net::Message& m) {
   // write; the completion is *observed* at the next test/testsome.
   const RequestId sid = r.id;
   mpi_.fabric_.nic(rank_).send(std::move(data), [this, sid]() {
-    auto sit = requests_.find(sid);
-    if (sit == requests_.end()) return;
-    sit->second->state = Request::State::Complete;
-    if (sit->second->imm_alias != kNullRequest) {
-      // Persistent-send alias: complete the persistent request too and
-      // drop the temporary.
-      auto pit = requests_.find(sit->second->imm_alias);
-      if (pit != requests_.end()) {
-        pit->second->state = Request::State::Complete;
-      }
-      requests_.erase(sit);
+    Request* s = find(sid);
+    if (s == nullptr) return;  // cancelled meanwhile
+    if (s->imm_alias != kNullRequest) {
+      // Persistent-send alias: complete the persistent request and drop
+      // the temporary.
+      if (Request* p = find(s->imm_alias)) mark_complete(*p);
+      release(*s);
+    } else {
+      mark_complete(*s);
     }
     notify();
   });
 }
 
 void Rank::handle_data(net::Message& m) {
-  auto it = requests_.find(m.hdr.imm[0]);
-  assert(it != requests_.end() && "DATA for unknown recv request");
-  Request& r = *it->second;
+  Request* found = find(m.hdr.imm[0]);
+  assert(found != nullptr && "DATA for unknown recv request");
+  Request& r = *found;
   // RDMA write: payload lands without a CPU copy; just complete.
   if (r.rbuf != nullptr && m.payload != nullptr) {
     const auto n = static_cast<std::size_t>(m.hdr.size);
@@ -348,13 +383,12 @@ void Rank::handle_data(net::Message& m) {
   }
   r.status.source = m.src;
   r.status.tag = m.hdr.tag;
-  r.state = Request::State::Complete;
+  mark_complete(r);
 }
 
 void Rank::progress() {
   while (!incoming_.empty()) {
-    net::Message m = std::move(incoming_.front());
-    incoming_.pop_front();
+    net::Message m = incoming_.pop_front();
     switch (m.hdr.kind) {
       case kEager:
         handle_eager(m);
@@ -377,29 +411,29 @@ void Rank::progress() {
 // ---------------------------------------------------------------------------
 // Completion
 
-Rank::TestsomeResult Rank::testsome(std::span<const RequestId> reqs) {
+void Rank::testsome(std::span<const RequestId> reqs, TestsomeResult& out) {
   const Config& cfg = mpi_.cfg_;
   charge_thread_switch();
   des::charge_current(cfg.call_overhead);
   progress();
-  TestsomeResult out;
+  out.indices.clear();
+  out.statuses.clear();
+  // The modeled scan covers the whole array; the host scan stops once no
+  // unreported completion is left anywhere on this rank.
   des::charge_current(static_cast<des::Duration>(reqs.size()) *
                       cfg.request_scan_cost);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const RequestId id = reqs[i];
-    if (id == kNullRequest) continue;
-    auto it = requests_.find(id);
-    if (it == requests_.end()) continue;
-    Request& r = *it->second;
-    if (r.state != Request::State::Complete) continue;
+  for (std::size_t i = 0; i < reqs.size() && unreported_ > 0; ++i) {
+    Request* r = find(reqs[i]);
+    if (r == nullptr || r->state != Request::State::Complete) continue;
     out.indices.push_back(i);
-    out.statuses.push_back(r.status);
-    if (r.persistent) {
-      r.state = Request::State::Inactive;
-    } else {
-      requests_.erase(it);
-    }
+    out.statuses.push_back(r->status);
+    report(*r);
   }
+}
+
+Rank::TestsomeResult Rank::testsome(std::span<const RequestId> reqs) {
+  TestsomeResult out;
+  testsome(reqs, out);
   return out;
 }
 
@@ -408,16 +442,14 @@ bool Rank::test(RequestId id, MpiStatus* st) {
   charge_thread_switch();
   des::charge_current(cfg.call_overhead + cfg.request_scan_cost);
   progress();
-  auto it = requests_.find(id);
-  assert(it != requests_.end() && "test() on unknown request");
-  Request& r = *it->second;
-  if (r.state != Request::State::Complete) return false;
-  if (st != nullptr) *st = r.status;
-  if (r.persistent) {
-    r.state = Request::State::Inactive;
-  } else {
-    requests_.erase(it);
+  Request* r = find(id);
+  if (r == nullptr) {
+    if (st != nullptr) *st = MpiStatus{};
+    return true;
   }
+  if (r->state != Request::State::Complete) return false;
+  if (st != nullptr) *st = r->status;
+  report(*r);
   return true;
 }
 
@@ -428,48 +460,47 @@ void Rank::poll() {
 }
 
 void Rank::free_request(RequestId id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;
-  assert(it->second->state != Request::State::Active &&
-         "freeing an active request");
-  requests_.erase(it);
+  Request* r = find(id);
+  if (r == nullptr) return;
+  assert(r->state != Request::State::Active && "freeing an active request");
+  release(*r);
 }
 
 void Rank::cancel(RequestId id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return;
-  for (auto pit = posted_recvs_.begin(); pit != posted_recvs_.end(); ++pit) {
-    if (*pit == id) {
-      posted_recvs_.erase(pit);
-      break;
-    }
+  if (Request* r = find(id)) cancel_request(*r);
+}
+
+void Rank::cancel_request(Request& r) {
+  if (r.state == Request::State::Active && r.kind == Request::Kind::Recv) {
+    const auto it = std::find(posted_recvs_.begin(), posted_recvs_.end(), r.id);
+    if (it != posted_recvs_.end()) posted_recvs_.erase(it);
   }
-  requests_.erase(it);
+  release(r);
 }
 
 std::size_t Rank::purge_peer(int peer) {
   // Queued traffic from the dead peer will never be matched: flush it
   // from the hardware and unexpected queues before touching requests so
   // no handler resurrects it.
-  std::erase_if(incoming_, [peer](const net::Message& m) {
+  const auto from_peer = [peer](const net::Message& m) {
     return m.src == peer;
-  });
-  std::erase_if(unexpected_, [peer](const net::Message& m) {
-    return m.src == peer;
-  });
+  };
+  incoming_.erase_if(from_peer);
+  unexpected_.erase_if(from_peer);
 
-  std::vector<RequestId> doomed;
-  for (const auto& [id, req] : requests_) {
-    if (req->state != Request::State::Active) continue;
-    if (req->kind == Request::Kind::Send && req->dst == peer) {
-      doomed.push_back(id);
-    } else if (req->kind == Request::Kind::Recv && req->src == peer) {
-      // Wildcard receives stay posted — another rank can still match.
-      doomed.push_back(id);
-    }
+  std::size_t cancelled = 0;
+  for (Request& r : slots_) {
+    // Free slots are reset to Inactive and never match.
+    if (r.state != Request::State::Active) continue;
+    // Wildcard receives stay posted — another rank can still match.
+    const bool doomed =
+        (r.kind == Request::Kind::Send && r.dst == peer) ||
+        (r.kind == Request::Kind::Recv && r.src == peer);
+    if (!doomed) continue;
+    cancel_request(r);
+    ++cancelled;
   }
-  for (const RequestId id : doomed) cancel(id);
-  return doomed.size();
+  return cancelled;
 }
 
 }  // namespace mmpi

@@ -18,13 +18,12 @@
 // calling simulated thread via des::charge_current.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "des/sim_thread.hpp"
@@ -37,6 +36,9 @@ namespace mmpi {
 inline constexpr int kAnySource = -1;
 
 using Tag = std::uint64_t;
+/// Request handle: `generation << 32 | (slot + 1)` in the owning rank's
+/// request table.  A slot's generation is bumped when its request is
+/// freed, so ids of freed requests never reach the slot's next occupant.
 using RequestId = std::uint64_t;
 inline constexpr RequestId kNullRequest = 0;
 
@@ -110,16 +112,23 @@ class Rank {
   };
 
   /// MPI_Testsome: progresses the library, then reports completed requests
-  /// among `reqs` (kNullRequest entries are skipped).  Completed persistent
-  /// requests become inactive (restart with start()); completed ordinary
-  /// requests are freed and their ids invalidated.
+  /// among `reqs` (kNullRequest entries are skipped) into `out`, which is
+  /// cleared first; reusing one `out` across calls allocates nothing once
+  /// its vectors have grown.  Completed persistent requests become
+  /// inactive (restart with start()); completed ordinary requests are
+  /// freed and their ids invalidated.
+  void testsome(std::span<const RequestId> reqs, TestsomeResult& out);
+
+  /// Value-returning form of the above.
   TestsomeResult testsome(std::span<const RequestId> reqs);
 
   /// MPI_Test on one request; on completion fills `st` (may be null) and,
-  /// for non-persistent requests, frees the request.
+  /// for non-persistent requests, frees the request.  An id that names no
+  /// live request (already completed and freed) tests true with an empty
+  /// status, like MPI_REQUEST_NULL.
   bool test(RequestId req, MpiStatus* st);
 
-  /// Frees an inactive persistent request.
+  /// Frees an inactive persistent request.  Unknown ids are ignored.
   void free_request(RequestId req);
 
   /// MPI_Cancel + MPI_Request_free in one step: drops a request even if
@@ -158,7 +167,57 @@ class Rank {
 
  private:
   friend class Mpi;
-  Rank(Mpi& mpi, int rank) : mpi_(mpi), rank_(rank) {}
+  Rank(Mpi& mpi, int rank, int size)
+      : mpi_(mpi), rank_(rank), send_seq_(static_cast<std::size_t>(size)) {}
+
+  /// FIFO over a vector with a head index.  Pops advance the head; the
+  /// storage is reused once the queue drains (or compacted when the dead
+  /// prefix outgrows the live part), so steady traffic allocates nothing.
+  template <class T>
+  class Fifo {
+   public:
+    bool empty() const { return head_ == buf_.size(); }
+    std::size_t size() const { return buf_.size() - head_; }
+    T& operator[](std::size_t i) { return buf_[head_ + i]; }
+    void push_back(T&& v) { buf_.push_back(std::move(v)); }
+    T pop_front() {
+      T v = std::move(buf_[head_++]);
+      reclaim();
+      return v;
+    }
+    /// Removes element `i`, keeping the order of the rest (the prefix
+    /// moves up one place: matches cluster near the front).
+    T take(std::size_t i) {
+      T v = std::move(buf_[head_ + i]);
+      for (std::size_t k = head_ + i; k > head_; --k) {
+        buf_[k] = std::move(buf_[k - 1]);
+      }
+      ++head_;
+      reclaim();
+      return v;
+    }
+    template <class Pred>
+    void erase_if(Pred pred) {
+      const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+      buf_.erase(std::remove_if(first, buf_.end(), pred), buf_.end());
+      reclaim();
+    }
+
+   private:
+    void reclaim() {
+      if (head_ == buf_.size()) {
+        buf_.clear();
+        head_ = 0;
+      } else if (head_ >= 64 && 2 * head_ >= buf_.size()) {
+        buf_.erase(buf_.begin(),
+                   buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+    std::vector<T> buf_;
+    std::size_t head_ = 0;
+  };
 
   struct Request {
     enum class Kind { Send, Recv };
@@ -185,7 +244,23 @@ class Rank {
     /// For persistent sends re-issued through isend(): the persistent
     /// request whose completion mirrors this temporary one.
     RequestId imm_alias = kNullRequest;
+    std::uint32_t gen = 0;  ///< id generation; bumped on release
   };
+
+  /// Takes a free slot (or grows the table) and returns its request,
+  /// reset, with its id assigned.  May move every slot: callers
+  /// must not hold a Request& across it.
+  Request& alloc_request();
+  /// The live request `id` names, or null (kNullRequest, stale, unknown).
+  Request* find(RequestId id);
+  /// Marks `r` Complete, counting it as not yet reported.
+  void mark_complete(Request& r);
+  /// Hands a Complete request to the caller: persistent ones go Inactive,
+  /// ordinary ones are freed.
+  void report(Request& r);
+  /// Frees `r`'s slot and bumps its generation.
+  void release(Request& r);
+  void cancel_request(Request& r);
 
   void progress();
   void deliver(net::Message&& m);
@@ -201,11 +276,15 @@ class Rank {
 
   Mpi& mpi_;
   int rank_;
-  std::deque<net::Message> incoming_;       ///< hardware queue
+  Fifo<net::Message> incoming_;             ///< hardware queue
   std::vector<RequestId> posted_recvs_;     ///< posted-receive queue (FIFO)
-  std::deque<net::Message> unexpected_;     ///< unexpected-message queue
-  std::unordered_map<int, std::uint64_t> send_seq_;
-  std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
+  Fifo<net::Message> unexpected_;           ///< unexpected-message queue
+  std::vector<std::uint64_t> send_seq_;     ///< next seq, by destination
+  std::vector<Request> slots_;              ///< request table
+  std::vector<std::uint32_t> free_slots_;   ///< LIFO: warm slots first
+  /// Live requests that are Complete but not yet reported by test or
+  /// testsome.  While it is 0, testsome has nothing to find.
+  std::size_t unreported_ = 0;
   std::function<void()> notifier_;
   des::SimThread* last_caller_ = nullptr;
 
@@ -240,7 +319,6 @@ class Mpi {
   net::Fabric& fabric_;
   Config cfg_;
   std::vector<std::unique_ptr<Rank>> ranks_;
-  RequestId next_request_id_ = 1;
 };
 
 }  // namespace mmpi

@@ -360,6 +360,48 @@ TEST(CeMpiBackend, DynamicRecvsPromotedInFifoOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
+// Completions in one progress pass run their callbacks in request-array
+// order, so removing finished entries must keep the survivors' order.
+// Progress is driven by hand: put 1 (to node 2) finishes alone and leaves
+// a hole between puts 0, 2 and 3 (to node 1), which then finish together.
+TEST(CeMpiBackend, CompactionKeepsCallbackOrder) {
+  des::Engine eng;
+  net::Fabric fab(eng, 3);
+  CommWorld world(fab, BackendKind::Mpi);
+  for (int n = 0; n < 3; ++n) {
+    world.engine(n).tag_reg(kPutDone, [](auto&&...) {}, nullptr, 64);
+  }
+  std::vector<int> order;
+  const auto record = [&order](CommEngine&, const MemReg&, std::ptrdiff_t,
+                               const MemReg&, std::ptrdiff_t, std::size_t,
+                               int, void* cb_data) {
+    order.push_back(*static_cast<int*>(cb_data));
+  };
+  const MemReg lreg{0, nullptr, 1 << 20};
+  int ids[] = {0, 1, 2, 3};
+  for (int& id : ids) {
+    const int target = id == 1 ? 2 : 1;
+    const MemReg rreg{target, nullptr, 1 << 20};
+    world.engine(0).put(lreg, 0, rreg, 0, 64 * 1024, target, record, &id,
+                        kPutDone, "d", 1);
+  }
+  const auto settle = [&eng] { eng.run(); };
+  settle();
+  world.engine(2).progress();  // handshake + RTS matched: CTS out
+  settle();
+  world.engine(0).progress();  // CTS: data out
+  settle();
+  world.engine(0).progress();  // put 1 completes alone
+  ASSERT_EQ(order, std::vector<int>{1});
+  world.engine(1).progress();
+  settle();
+  world.engine(0).progress();  // three CTS: data out, nothing done yet
+  ASSERT_EQ(order.size(), 1u);
+  settle();
+  world.engine(0).progress();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+}
+
 // --- LCI-backend-specific mechanisms ---------------------------------------
 
 TEST(CeLciBackend, EagerPutRidesHandshake) {

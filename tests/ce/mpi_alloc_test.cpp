@@ -1,0 +1,128 @@
+// Heap-allocation guard for the MPI path (mmpi + ce::MpiBackend).
+//
+// Its own binary because it replaces the global operator new with a
+// counting one.  Allocation counts in this single-threaded simulation
+// are deterministic, so the guards are exact: no wall clock, no ratio.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "ce/world.hpp"
+#include "des/engine.hpp"
+#include "hicma/driver.hpp"
+#include "net/fabric.hpp"
+
+namespace {
+std::uint64_t g_allocs = 0;
+
+void* counted_alloc(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+constexpr ce::Tag kPing = 1;
+constexpr ce::Tag kLanded = 2;
+
+// Drives every engine by hand (no comm threads) until nothing is left.
+void drain(des::Engine& eng, ce::CommWorld& world) {
+  for (;;) {
+    int worked = 0;
+    for (int n = 0; n < world.size(); ++n) {
+      worked += world.engine(n).progress();
+    }
+    if (worked == 0 && !eng.step()) return;
+  }
+}
+
+// A progress pass that completes nothing allocates nothing, including
+// after AM and put traffic has come and gone.
+TEST(MpiAlloc, IdleProgressPassAllocatesNothing) {
+  des::Engine eng;
+  net::Fabric fab(eng, 2);
+  ce::CeConfig cfg;
+  ce::CommWorld world(fab, ce::BackendKind::Mpi, cfg);
+  int pings = 0, landed = 0;
+  for (int n = 0; n < 2; ++n) {
+    ASSERT_EQ(world.engine(n).tag_reg(
+                  kPing,
+                  [&pings](ce::CommEngine&, ce::Tag, const void*, std::size_t,
+                           int, void*) { ++pings; },
+                  nullptr, 64),
+              ce::Status::Ok);
+    ASSERT_EQ(world.engine(n).tag_reg(
+                  kLanded,
+                  [&landed](ce::CommEngine&, ce::Tag, const void*,
+                            std::size_t, int, void*) { ++landed; },
+                  nullptr, 64),
+              ce::Status::Ok);
+  }
+  std::vector<std::byte> src(1 << 16), dst(1 << 16);
+  const ce::MemReg lreg = world.engine(0).mem_reg(src.data(), src.size());
+  const ce::MemReg rreg = world.engine(1).mem_reg(dst.data(), dst.size());
+  const int cookie = 42;
+  for (int round = 0; round < 4; ++round) {
+    ASSERT_EQ(world.engine(0).send_am(kPing, 1, "hi", 2), ce::Status::Ok);
+    world.engine(0).put(lreg, 0, rreg, 0, src.size(), 1, nullptr, nullptr,
+                        kLanded, &cookie, sizeof cookie);
+    drain(eng, world);
+  }
+  ASSERT_EQ(pings, 4);
+  ASSERT_EQ(landed, 4);
+
+  const std::uint64_t before = g_allocs;
+  int completed = 0;
+  for (int pass = 0; pass < 100; ++pass) {
+    for (int n = 0; n < 2; ++n) completed += world.engine(n).progress();
+  }
+  const std::uint64_t allocs = g_allocs - before;
+  EXPECT_EQ(completed, 0);
+  EXPECT_EQ(allocs, 0u);
+}
+
+// Allocations of a whole 8-node MPI run (the fingerprint config), set-up
+// included.  The bound is the count this code makes, 5.69 per fabric
+// message, so any added allocation fails.  A map-based request store with
+// a per-pass rebuild of the request array made 33,210 (12.43 per message).
+// The run before the measured one fills process-wide pools (payload
+// buffers, flight-recorder rings) the same way in every fresh process.
+TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
+  constexpr std::uint64_t kMaxAllocs = 15'203;
+  hicma::ExperimentConfig cfg;
+  cfg.nodes = 8;
+  cfg.backend = ce::BackendKind::Mpi;
+  cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
+  cfg.tlr.n = 36000;
+  cfg.tlr.nb = 3000;
+  // Instruments the environment can switch on allocate on their own.
+  for (const char* var : {"AMTLCE_TRACE", "AMTLCE_TIMELINE",
+                          "AMTLCE_FLIGHT_RING", "AMTLCE_POSTMORTEM"}) {
+    ::unsetenv(var);
+  }
+  (void)hicma::run_tlr_cholesky(cfg);
+  const std::uint64_t before = g_allocs;
+  const hicma::ExperimentResult res = hicma::run_tlr_cholesky(cfg);
+  const std::uint64_t allocs = g_allocs - before;
+  ASSERT_EQ(res.fabric_messages, 2671u);
+  std::printf("allocs %llu (%.3f per fabric message)\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<double>(allocs) /
+                  static_cast<double>(res.fabric_messages));
+  EXPECT_LE(allocs, kMaxAllocs);
+}
+
+}  // namespace

@@ -140,4 +140,53 @@ TEST(Fingerprint, CrashRecoveryIsBitIdenticalToBaseline) {
   EXPECT_EQ(cancelled->value(), 15u);
 }
 
+// The MPI backend with its transfer cap squeezed to 2: puts find no array
+// space and are deferred, handshakes post dynamic receives that wait for
+// promotion (§4.2.2).  Captured before the mmpi request store became a
+// slot table and MpiBackend::progress started compacting in place.
+TEST(Fingerprint, MpiDeferredTransfersAreBitIdenticalToBaseline) {
+  hicma::ExperimentConfig cfg;
+  cfg.nodes = 8;
+  cfg.backend = ce::BackendKind::Mpi;
+  cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
+  cfg.tlr.n = 36000;
+  cfg.tlr.nb = 3000;
+  cfg.ce.max_concurrent_transfers = 2;
+  const auto res = hicma::run_tlr_cholesky(cfg);
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(res.tts_s, 2.5595929630000001);
+  EXPECT_EQ(res.fabric_messages, 2671u);
+  EXPECT_EQ(res.events_fired, 7306u);
+  // Both deferral paths must stay exercised for this row to mean anything.
+  EXPECT_GT(res.ce_stats.puts_deferred, 0u);
+  EXPECT_GT(res.ce_stats.recvs_dynamic, 0u);
+  EXPECT_EQ(res.ce_stats.puts_deferred, 106u);
+  EXPECT_EQ(res.ce_stats.recvs_dynamic, 40u);
+}
+
+// The crash row above on the MPI backend: failure-detector confirmation
+// drives MpiBackend::peer_failed and mmpi::Rank::purge_peer over requests
+// wedged on the dead node.
+TEST(Fingerprint, MpiCrashRecoveryIsBitIdenticalToBaseline) {
+  hicma::ExperimentConfig cfg;
+  cfg.nodes = 8;
+  cfg.backend = ce::BackendKind::Mpi;
+  cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
+  cfg.tlr.n = 36000;
+  cfg.tlr.nb = 3000;
+  cfg.rt.ft.enabled = true;
+  cfg.ce.fd.enabled = true;
+  cfg.ce.reliable.enabled = true;
+  cfg.fabric.faults.crashes.push_back(net::CrashEvent{5, 900'000'000, 0});
+  const auto res = hicma::run_tlr_cholesky(cfg);
+  const obs::Counter* cancelled =
+      res.metrics.find_counter("net.fault.crash_cancelled");
+  ASSERT_NE(cancelled, nullptr);
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(res.tts_s, 3.2227821900000002);
+  EXPECT_EQ(res.fabric_messages, 37436u);
+  EXPECT_EQ(res.events_fired, 48434u);
+  EXPECT_EQ(cancelled->value(), 1u);
+}
+
 }  // namespace

@@ -299,6 +299,150 @@ TEST(Mmpi, RendezvousLatencyExceedsEagerForSmallVsLarge) {
   ASSERT_TRUE(w.wait(0, rs, nullptr));
 }
 
+// Request ids name a slot plus its generation.  Once a request is freed
+// its slot is reused, and the old id must miss: it may not cancel, free
+// or test the slot's new occupant.
+TEST(Mmpi, StaleIdNeverTouchesRecycledSlot) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  std::array<char, 8> buf{};
+  const RequestId stale = r1.recv_init(buf.data(), buf.size(), 0, 1);
+  r1.free_request(stale);
+  const RequestId fresh = r1.irecv(buf.data(), buf.size(), 0, 2);
+  EXPECT_NE(fresh, stale);
+  EXPECT_EQ(fresh & 0xFFFF'FFFFu, stale & 0xFFFF'FFFFu) << "slot not reused";
+
+  r1.cancel(stale);        // would unpost `fresh` if it hit
+  r1.free_request(stale);  // would assert: `fresh` is Active
+  MpiStatus st;
+  st.tag = 99;
+  EXPECT_TRUE(r1.test(stale, &st));  // reads as a null request
+  EXPECT_EQ(st.tag, 0u);
+  EXPECT_EQ(st.source, kAnySource);
+
+  w.mpi.rank(0).send("ok", 2, 1, 2);
+  ASSERT_TRUE(w.wait(1, fresh, &st));
+  EXPECT_EQ(st.tag, 2u);
+  EXPECT_EQ(std::string(buf.data(), st.count), "ok");
+}
+
+TEST(Mmpi, PurgePeerSkipsFreedSlotsAndSparesOthers) {
+  World w(3);
+  Rank& r2 = w.mpi.rank(2);
+  std::array<char, 8> from0{}, from1{}, any{};
+  const RequestId dead_recv = r2.irecv(from0.data(), 8, 0, 1);
+  const RequestId live_recv = r2.irecv(from1.data(), 8, 1, 1);
+  const RequestId freed = r2.recv_init(nullptr, 8, 0, 5);
+  r2.free_request(freed);  // a hole between live slots
+  const RequestId wildcard = r2.irecv(any.data(), 8, kAnySource, 2);
+  const RequestId dead_send = r2.isend(nullptr, 1 << 20, 0, 3);  // rendezvous
+  const RequestId inactive = r2.recv_init(nullptr, 8, 0, 4);
+  const RequestId done_send = r2.isend("x", 1, 0, 6);  // eager: complete
+
+  // Only Active requests wedged on rank 0 go: its receive and its
+  // rendezvous send.  Wildcards, inactive and complete requests stay.
+  EXPECT_EQ(r2.purge_peer(0), 2u);
+  EXPECT_EQ(r2.purge_peer(0), 0u);
+
+  // The purged receive is unposted: rank 0's message now waits unmatched.
+  w.mpi.rank(0).send("zero", 4, 2, 1);
+  w.mpi.rank(1).send("one", 3, 2, 1);
+  w.mpi.rank(1).send("any", 3, 2, 2);
+  MpiStatus st;
+  ASSERT_TRUE(w.wait(2, live_recv, &st));
+  EXPECT_EQ(std::string(from1.data(), st.count), "one");
+  ASSERT_TRUE(w.wait(2, wildcard, &st));
+  EXPECT_EQ(std::string(any.data(), st.count), "any");
+  EXPECT_EQ(from0[0], '\0');
+  EXPECT_TRUE(r2.test(dead_recv, nullptr));  // gone: a null request
+  EXPECT_TRUE(r2.test(dead_send, nullptr));
+  EXPECT_TRUE(r2.test(done_send, nullptr));
+  r2.start(inactive);  // still a live persistent request
+  r2.cancel(inactive);
+}
+
+// The out-parameter testsome reports exactly what the value form does,
+// skipping kNullRequest entries, and overwrites what `out` held.
+TEST(Mmpi, TestsomeOutParamMatchesValueForm) {
+  const auto run = [](bool out_param) {
+    World w(2);
+    Rank& r1 = w.mpi.rank(1);
+    std::array<char, 8> b1{}, b2{}, b3{};
+    const RequestId q1 = r1.irecv(b1.data(), 8, 0, 1);
+    const RequestId q2 = r1.irecv(b2.data(), 8, 0, 2);
+    const RequestId q3 = r1.irecv(b3.data(), 8, 0, 3);
+    w.mpi.rank(0).send("a", 1, 1, 1);
+    w.mpi.rank(0).send("ccc", 3, 1, 3);
+    w.eng.run();
+    const std::array<RequestId, 5> reqs{mmpi::kNullRequest, q1, q2,
+                                        mmpi::kNullRequest, q3};
+    if (!out_param) return r1.testsome(reqs);
+    Rank::TestsomeResult out;
+    out.indices = {7, 7, 7};
+    out.statuses.resize(3);
+    r1.testsome(reqs, out);
+    return out;
+  };
+  const Rank::TestsomeResult by_value = run(false);
+  const Rank::TestsomeResult by_out = run(true);
+  ASSERT_EQ(by_value.indices, (std::vector<std::size_t>{1, 4}));
+  ASSERT_EQ(by_out.indices, by_value.indices);
+  ASSERT_EQ(by_out.statuses.size(), by_value.statuses.size());
+  for (std::size_t k = 0; k < by_out.statuses.size(); ++k) {
+    EXPECT_EQ(by_out.statuses[k].source, by_value.statuses[k].source);
+    EXPECT_EQ(by_out.statuses[k].tag, by_value.statuses[k].tag);
+    EXPECT_EQ(by_out.statuses[k].count, by_value.statuses[k].count);
+  }
+  EXPECT_EQ(by_out.statuses[1].count, 3u);
+}
+
+// testsome skips its host scan while no completion is unreported; a
+// completion testsome was not asked about must keep the count up, and so
+// must completions observed at a send's local CQ write (rendezvous, and a
+// persistent send whose transfer runs through a temporary request).
+TEST(Mmpi, CompletionOutsideTheArrayIsReportedLater) {
+  mmpi::Config cfg;
+  cfg.eager_threshold = 64;
+  World w(2, cfg);
+  Rank& r1 = w.mpi.rank(1);
+  std::array<char, 8> b1{}, b2{};
+  const RequestId q1 = r1.irecv(b1.data(), 8, 0, 1);
+  const RequestId q2 = r1.irecv(b2.data(), 8, 0, 2);
+  w.mpi.rank(0).send("one", 3, 1, 1);
+  w.mpi.rank(0).send("two", 3, 1, 2);
+  w.eng.run();
+
+  const std::array<RequestId, 1> only_q1{q1};
+  auto res = r1.testsome(only_q1);
+  ASSERT_EQ(res.indices.size(), 1u);
+  const std::array<RequestId, 1> none{mmpi::kNullRequest};
+  EXPECT_TRUE(r1.testsome(none).indices.empty());
+  const std::array<RequestId, 2> both{q1, q2};  // q1 is freed by now
+  res = r1.testsome(both);
+  ASSERT_EQ(res.indices, (std::vector<std::size_t>{1}));
+  EXPECT_EQ(res.statuses[0].tag, 2u);
+
+  // Rendezvous: the send completes when its data leaves the NIC.
+  Rank& r0 = w.mpi.rank(0);
+  const RequestId rr = r1.irecv(nullptr, 4096, 0, 3);
+  const RequestId rs = r0.isend(nullptr, 4096, 1, 3);
+  ASSERT_TRUE(w.wait(1, rr, nullptr));
+  w.eng.run();
+  const std::array<RequestId, 1> send_arr{rs};
+  EXPECT_EQ(r0.testsome(send_arr).indices.size(), 1u);
+
+  // Persistent rendezvous send: completion reaches the persistent id.
+  const RequestId ps = r0.send_init(nullptr, 4096, 1, 4);
+  const RequestId pr = r1.irecv(nullptr, 4096, 0, 4);
+  r0.start(ps);
+  ASSERT_TRUE(w.wait(1, pr, nullptr));
+  w.eng.run();
+  const std::array<RequestId, 1> ps_arr{ps};
+  EXPECT_EQ(r0.testsome(ps_arr).indices.size(), 1u);
+  EXPECT_TRUE(r0.testsome(ps_arr).indices.empty());  // Inactive again
+  r0.free_request(ps);
+}
+
 // Parameterized sweep across message sizes spanning the eager/rendezvous
 // boundary: payload integrity must hold for every size.
 class MmpiSizeSweep : public ::testing::TestWithParam<std::size_t> {};
