@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -188,6 +189,118 @@ TEST(MetricsExportIntegration, FabricAndLinkCountersLandInMetrics) {
   EXPECT_TRUE(obs::json_parse_ok(json));
   EXPECT_NE(json.find("\"net.link.t0.up_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"ce.fd.heartbeats\""), std::string::npos);
+}
+
+// Full counter map of the end-of-run export for a run that drives every
+// counting layer: reliability (drops, dups, corruption, spikes, a
+// brownout, a stall), the failure detector and lineage recovery (one
+// crash).  The map is pinned name by name, so a change to how counters
+// are kept or exported must reproduce the exact key set and values.
+using CounterMap = std::map<std::string, std::uint64_t>;
+
+CounterMap counters_of(const obs::Recorder& rec) {
+  CounterMap out;
+  for (const auto& [name, c] : rec.counters()) out.emplace(name, c.value());
+  return out;
+}
+
+hicma::ExperimentConfig pinned_chaos_config(BackendKind kind) {
+  hicma::ExperimentConfig cfg = fingerprint_config(kind);
+  cfg.rt.ft.enabled = true;
+  cfg.ce.fd.enabled = true;
+  cfg.ce.reliable.enabled = true;
+  net::FaultConfig& f = cfg.fabric.faults;
+  f.seed = 0x9E11;
+  f.drop_prob = 0.005;
+  f.dup_prob = 0.005;
+  f.corrupt_prob = 0.005;
+  f.jitter_max = 1 * des::kMicrosecond;
+  f.spike_prob = 0.005;
+  f.spike_max = 20 * des::kMicrosecond;
+  f.brownout_node = 2;
+  f.brownout_start = 600 * des::kMillisecond;
+  f.brownout_duration = 2 * des::kMillisecond;
+  f.stall_node = 4;
+  f.stall_start = 900 * des::kMillisecond;
+  f.stall_duration = 1 * des::kMillisecond;
+  f.crashes.push_back(net::CrashEvent{3, 800 * des::kMillisecond, 0});
+  return cfg;
+}
+
+// Export-table names these runs leave at zero (and so absent from the
+// maps): net.fault.undeliverable, ce.rel.err_unhandled,
+// ce.fd.false_suspects, ce.fd.revivals and ce.peer_failed_cancels.
+TEST(MetricsExportIntegration, PinnedCounterMapsUnderChaosAndCrash) {
+  const struct {
+    BackendKind kind;
+    CounterMap counters;
+  } pins[] = {
+    {BackendKind::Lci, {
+      {"ce.fd.dead", 7},
+      {"ce.fd.heartbeats", 26279},
+      {"ce.fd.hints", 2},
+      {"ce.fd.suspects", 7},
+      {"ce.rel.acks", 4008},
+      {"ce.rel.corrupt", 36},
+      {"ce.rel.data", 2913},
+      {"ce.rel.dups", 1100},
+      {"ce.rel.nacks", 16},
+      {"ce.rel.peer_dead_fails", 2},
+      {"ce.rel.retransmits", 1164},
+      {"ce.rel.timeouts", 3},
+      {"net.bytes", 1512340266},
+      {"net.delivered_bytes", 1509444644},
+      {"net.delivered_msgs", 34204},
+      {"net.fault.brownout_drops", 14},
+      {"net.fault.corruptions", 163},
+      {"net.fault.crash_cancelled", 1},
+      {"net.fault.crash_drops", 154},
+      {"net.fault.crashes", 1},
+      {"net.fault.dropped_bytes", 2895622},
+      {"net.fault.drops", 344},
+      {"net.fault.dup_bytes", 1468801},
+      {"net.fault.dups", 168},
+      {"net.fault.spikes", 181},
+      {"net.fault.stalled_msgs", 1},
+      {"net.msgs", 34548},
+    }},
+    {BackendKind::Mpi, {
+      {"ce.fd.dead", 7},
+      {"ce.fd.heartbeats", 26285},
+      {"ce.fd.hints", 2},
+      {"ce.fd.suspects", 7},
+      {"ce.rel.acks", 3608},
+      {"ce.rel.corrupt", 40},
+      {"ce.rel.data", 2918},
+      {"ce.rel.dups", 695},
+      {"ce.rel.nacks", 13},
+      {"ce.rel.peer_dead_fails", 2},
+      {"ce.rel.retransmits", 748},
+      {"ce.rel.timeouts", 3},
+      {"net.bytes", 1512207960},
+      {"net.delivered_bytes", 1509865225},
+      {"net.delivered_msgs", 33396},
+      {"net.fault.brownout_drops", 14},
+      {"net.fault.corruptions", 163},
+      {"net.fault.crash_cancelled", 1},
+      {"net.fault.crash_drops", 154},
+      {"net.fault.crashes", 1},
+      {"net.fault.dropped_bytes", 2342735},
+      {"net.fault.drops", 338},
+      {"net.fault.dup_bytes", 2044405},
+      {"net.fault.dups", 162},
+      {"net.fault.spikes", 178},
+      {"net.fault.stalled_msgs", 1},
+      {"net.msgs", 33734},
+    }},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "backend=" << ce::backend_name(pin.kind));
+    const auto res = hicma::run_tlr_cholesky(pinned_chaos_config(pin.kind));
+    ASSERT_EQ(res.run_status, amt::RunStatus::Ok);
+    EXPECT_EQ(counters_of(res.metrics), pin.counters);
+  }
 }
 
 }  // namespace
