@@ -125,8 +125,7 @@ PingPongResult run_pingpong(ce::BackendKind backend,
   {
     // Fold this simulation's metrics (CE/fabric + runtime latency stages)
     // into the process-wide accumulator for AMTLCE_METRICS.
-    obs::Recorder snap = comm.metrics();
-    fab.export_metrics(snap);
+    obs::Recorder snap = comm.metrics_snapshot();
     amt::export_latency_metrics(agg, snap);
     metrics_accumulator().merge(snap);
   }

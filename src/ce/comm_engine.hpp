@@ -226,8 +226,9 @@ class CommEngine {
   virtual const CeStats& stats() const = 0;
 
   /// Attaches a metrics recorder for latency histograms ("ce.put_local_ns",
-  /// "ce.put_remote_ns", queue-wait metrics).  Null detaches; the engine
-  /// does not own the recorder.  Default: metrics are dropped.
+  /// "ce.put_remote_ns", queue-wait metrics), resolved once here so the
+  /// event path never looks a metric up by name.  Null detaches; the
+  /// engine does not own the recorder.  Default: metrics are dropped.
   virtual void set_recorder(obs::Recorder* /*rec*/) {}
 
   /// Notification that `remote` was confirmed dead by the failure

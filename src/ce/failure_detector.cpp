@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/stats.hpp"
 
 namespace ce {
 
@@ -59,10 +58,6 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
     domain_.track_view(peer, PeerState::Alive, PeerState::Suspect);
     ++domain_.stats_.suspects;
     ++domain_.stats_.hints;
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.fd.suspects").add();
-      domain_.rec_->counter("ce.fd.hints").add();
-    }
     domain_.notify(node_, peer, PeerState::Suspect);
   }
 
@@ -77,9 +72,6 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
     state_[i] = PeerState::Alive;
     domain_.track_view(peer, PeerState::Dead, PeerState::Alive);
     ++domain_.stats_.revivals;
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.fd.revivals").add();
-    }
     domain_.notify(node_, peer, PeerState::Alive);
   }
 
@@ -118,9 +110,6 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
       state_[i] = PeerState::Alive;
       domain_.track_view(peer, PeerState::Suspect, PeerState::Alive);
       ++domain_.stats_.false_suspects;
-      if (domain_.rec_ != nullptr) {
-        domain_.rec_->counter("ce.fd.false_suspects").add();
-      }
       domain_.notify(node_, peer, PeerState::Alive);
     }
   }
@@ -153,9 +142,6 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
         state_[i] = PeerState::Suspect;
         domain_.track_view(peer, PeerState::Alive, PeerState::Suspect);
         ++domain_.stats_.suspects;
-        if (domain_.rec_ != nullptr) {
-          domain_.rec_->counter("ce.fd.suspects").add();
-        }
         domain_.notify(node_, peer, PeerState::Suspect);
       }
       if (state_[i] == PeerState::Suspect &&
@@ -163,7 +149,7 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
         state_[i] = PeerState::Dead;
         domain_.track_view(peer, PeerState::Suspect, PeerState::Dead);
         ++domain_.stats_.deaths;
-        domain_.record_death(node_, peer, now);
+        domain_.record_detect_latency(peer, now);
         domain_.notify(node_, peer, PeerState::Dead);
       }
     }
@@ -178,9 +164,6 @@ class FailureDetectorDomain::NodeDetector final : public net::LinkShim {
     m.hdr.proto = net::kProtoFd;
     domain_.fabric_.nic(node_).raw_send(std::move(m));
     ++domain_.stats_.heartbeats_sent;
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.fd.heartbeats").add();
-    }
   }
 
   FailureDetectorDomain& domain_;
@@ -231,7 +214,13 @@ void FailureDetectorDomain::stop() {
   for (auto& d : nodes_) d->cancel_timer();
 }
 
-void FailureDetectorDomain::set_recorder(obs::Recorder* rec) { rec_ = rec; }
+void FailureDetectorDomain::set_recorder(obs::Recorder* rec) {
+  detect_ns_ = rec != nullptr ? &rec->histogram("ce.fd.detect_ns") : nullptr;
+}
+
+void FailureDetectorDomain::export_metrics(obs::Recorder& rec) const {
+  obs::export_counters(stats_, kFdCounters, rec);
+}
 
 void FailureDetectorDomain::track_view(int peer, PeerState from,
                                        PeerState to) {
@@ -250,18 +239,15 @@ void FailureDetectorDomain::notify(int node, int peer, PeerState state) {
   for (const StateCallback& cb : subscribers_) cb(node, peer, state);
 }
 
-void FailureDetectorDomain::record_death(int node, int peer, des::Time now) {
-  if (rec_ == nullptr) return;
-  rec_->counter("ce.fd.dead").add();
+void FailureDetectorDomain::record_detect_latency(int peer, des::Time now) {
+  if (detect_ns_ == nullptr) return;
   // Detection latency against the fabric's ground-truth crash schedule.
   for (const net::CrashEvent& c : fabric_.config().faults.crashes) {
     if (c.node == peer && now >= c.crash_at) {
-      rec_->histogram("ce.fd.detect_ns")
-          .add(static_cast<double>(now - c.crash_at));
+      detect_ns_->add(static_cast<double>(now - c.crash_at));
       return;
     }
   }
-  (void)node;
 }
 
 }  // namespace ce

@@ -38,10 +38,7 @@
 
 #include "ce/comm_engine.hpp"
 #include "net/fabric.hpp"
-
-namespace obs {
-class Recorder;
-}
+#include "obs/stats.hpp"
 
 namespace ce {
 
@@ -56,7 +53,8 @@ inline const char* peer_state_name(PeerState s) {
   return "?";
 }
 
-/// Domain-wide detector counters (summed over all nodes).
+/// Domain-wide detector counters (summed over all nodes), exported as
+/// "ce.fd.*" through kFdCounters.
 struct FdStats {
   std::uint64_t heartbeats_sent = 0;
   std::uint64_t suspects = 0;        ///< Alive -> Suspect transitions
@@ -64,6 +62,16 @@ struct FdStats {
   std::uint64_t deaths = 0;          ///< Suspect -> Dead confirmations
   std::uint64_t revivals = 0;        ///< Dead -> Alive on ground-truth restart
   std::uint64_t hints = 0;           ///< external suspicion hints accepted
+};
+
+/// Export names of the FdStats fields.
+inline constexpr obs::CounterField<FdStats> kFdCounters[] = {
+    {"ce.fd.heartbeats", &FdStats::heartbeats_sent},
+    {"ce.fd.suspects", &FdStats::suspects},
+    {"ce.fd.false_suspects", &FdStats::false_suspects},
+    {"ce.fd.dead", &FdStats::deaths},
+    {"ce.fd.revivals", &FdStats::revivals},
+    {"ce.fd.hints", &FdStats::hints},
 };
 
 class FailureDetectorDomain {
@@ -106,16 +114,20 @@ class FailureDetectorDomain {
   /// keep the event queue alive forever.
   void stop();
 
-  /// Attaches a metrics recorder for ce.fd.* counters and the
-  /// ce.fd.detect_ns detection-latency histogram.  Null detaches.
+  /// Attaches a metrics recorder for the ce.fd.detect_ns
+  /// detection-latency histogram, resolved once here.  Null detaches.
   void set_recorder(obs::Recorder* rec);
+
+  /// Adds the nonzero FdStats counters to `rec` ("ce.fd.*").
+  void export_metrics(obs::Recorder& rec) const;
 
  private:
   class NodeDetector;
   friend class NodeDetector;
 
   void notify(int node, int peer, PeerState state);
-  void record_death(int node, int peer, des::Time now);
+  /// Samples ce.fd.detect_ns for a Dead verdict on `peer` at `now`.
+  void record_detect_latency(int peer, des::Time now);
   /// Updates the aggregate view counters for one observer's transition.
   void track_view(int peer, PeerState from, PeerState to);
 
@@ -123,7 +135,7 @@ class FailureDetectorDomain {
   FdConfig cfg_;
   FdStats stats_;
   bool stopped_ = false;
-  obs::Recorder* rec_ = nullptr;
+  obs::Histogram* detect_ns_ = nullptr;  ///< null without a recorder
   std::vector<StateCallback> subscribers_;
   std::vector<std::unique_ptr<NodeDetector>> nodes_;
   std::vector<std::uint32_t> suspect_views_of_;  ///< observers seeing Suspect

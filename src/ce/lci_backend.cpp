@@ -92,6 +92,16 @@ void LciBackend::set_wake_callback(std::function<void()> fn) {
   wake_ = std::move(fn);
 }
 
+void LciBackend::set_recorder(obs::Recorder* rec) {
+  const auto resolve = [rec](const char* name) {
+    return rec != nullptr ? &rec->histogram(name) : nullptr;
+  };
+  am_queue_ns_ = resolve("ce.am_queue_ns");
+  data_queue_ns_ = resolve("ce.data_queue_ns");
+  put_local_ns_ = resolve("ce.put_local_ns");
+  put_remote_ns_ = resolve("ce.put_remote_ns");
+}
+
 void LciBackend::wake_comm_thread() {
   if (wake_) wake_();
 }
@@ -219,11 +229,10 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
     }
     ++stats_.eager_puts;
     ++stats_.puts_completed_local;
-    if (rec_ != nullptr) {
+    if (put_local_ns_ != nullptr) {
       // Eager local completion is immediate; the histogram still records
       // it so put_local distributions reflect the eager fraction.
-      rec_->histogram("ce.put_local_ns")
-          .add(static_cast<double>(eng_.now() - put_start));
+      put_local_ns_->add(static_cast<double>(eng_.now() - put_start));
     }
     if (l_cb) {
       l_cb(*this, lreg, ldispl, rreg, rdispl, size, remote, l_cb_data);
@@ -378,15 +387,13 @@ bool LciBackend::post_data_recv(const PendingRecv& pr) {
 
 void LciBackend::dispatch_data_handle(DataHandle&& h) {
   des::charge_current(cfg_.dispatch_cost);
-  if (rec_ != nullptr) {
-    rec_->histogram("ce.data_queue_ns")
-        .add(static_cast<double>(eng_.now() - h.queued));
+  if (data_queue_ns_ != nullptr) {
+    data_queue_ns_->add(static_cast<double>(eng_.now() - h.queued));
   }
   if (h.kind == DataHandle::Kind::LocalDone) {
     ++stats_.puts_completed_local;
-    if (rec_ != nullptr) {
-      rec_->histogram("ce.put_local_ns")
-          .add(static_cast<double>(eng_.now() - h.started));
+    if (put_local_ns_ != nullptr) {
+      put_local_ns_->add(static_cast<double>(eng_.now() - h.started));
     }
     if (h.l_cb) {
       std::optional<des::ChargeSpan> span;
@@ -396,9 +403,8 @@ void LciBackend::dispatch_data_handle(DataHandle&& h) {
     }
   } else {
     ++stats_.puts_completed_remote;
-    if (rec_ != nullptr) {
-      rec_->histogram("ce.put_remote_ns")
-          .add(static_cast<double>(eng_.now() - h.started));
+    if (put_remote_ns_ != nullptr) {
+      put_remote_ns_->add(static_cast<double>(eng_.now() - h.started));
     }
     const auto it = tags_.find(h.r_tag);
     assert(it != tags_.end() && "put r_tag not registered");
@@ -495,9 +501,8 @@ int LciBackend::progress() {
       const auto it = tags_.find(h.tag);
       assert(it != tags_.end() && "AM for unregistered tag");
       ++stats_.ams_delivered;
-      if (rec_ != nullptr) {
-        rec_->histogram("ce.am_queue_ns")
-            .add(static_cast<double>(eng_.now() - h.arrived));
+      if (am_queue_ns_ != nullptr) {
+        am_queue_ns_->add(static_cast<double>(eng_.now() - h.arrived));
       }
       const void* body = h.payload ? h.payload->data() : nullptr;
       std::optional<des::ChargeSpan> span;
@@ -559,9 +564,6 @@ void LciBackend::peer_failed(int remote) {
   recvs += purged.recvs;
   stats_.peer_failed_sends += sends;
   stats_.peer_failed_recvs += recvs;
-  if (rec_ != nullptr && sends + recvs > 0) {
-    rec_->counter("ce.peer_failed_cancels").add(sends + recvs);
-  }
   if (sends + recvs > 0) wake_comm_thread();
 }
 

@@ -63,7 +63,7 @@ class LciBackend final : public CommEngine {
   bool idle() const override;
   void set_wake_callback(std::function<void()> fn) override;
   const CeStats& stats() const override { return stats_; }
-  void set_recorder(obs::Recorder* rec) override { rec_ = rec; }
+  void set_recorder(obs::Recorder* rec) override;
 
   /// The progress thread (null when disabled) — exposed so experiments can
   /// read its utilization.
@@ -177,7 +177,12 @@ class LciBackend final : public CommEngine {
   std::uint64_t next_data_tag_;
   std::uint64_t outstanding_direct_ = 0;  ///< sends with pending local done
   std::function<void()> wake_;
-  obs::Recorder* rec_ = nullptr;
+  // Queue-wait and put-completion histograms, resolved once by
+  // set_recorder; null without a recorder.
+  obs::Histogram* am_queue_ns_ = nullptr;
+  obs::Histogram* data_queue_ns_ = nullptr;
+  obs::Histogram* put_local_ns_ = nullptr;
+  obs::Histogram* put_remote_ns_ = nullptr;
 };
 
 }  // namespace ce

@@ -42,7 +42,6 @@ void MpiBackend::set_wake_callback(std::function<void()> fn) {
 }
 
 void MpiBackend::set_recorder(obs::Recorder* rec) {
-  rec_ = rec;
   put_local_ns_ = rec != nullptr ? &rec->histogram("ce.put_local_ns") : nullptr;
   put_remote_ns_ =
       rec != nullptr ? &rec->histogram("ce.put_remote_ns") : nullptr;
@@ -301,7 +300,6 @@ void MpiBackend::peer_failed(int remote) {
   // its request and release its array slot so the 30-entry cap (§4.2.2)
   // is not permanently consumed by a corpse.  Idempotent — after the
   // first call nothing matching `remote` remains.
-  std::size_t recvs = 0;
   std::vector<Entry> released_sends;
   std::size_t w = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
@@ -325,7 +323,6 @@ void MpiBackend::peer_failed(int remote) {
       // Dropped without any callback: the data never arrived, so faking
       // remote completion would hand garbage to the consumer.
       ++stats_.peer_failed_recvs;
-      ++recvs;
     }
   }
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
@@ -343,7 +340,6 @@ void MpiBackend::peer_failed(int remote) {
                e.origin == remote) {
       rank_.cancel(e.req);
       ++stats_.peer_failed_recvs;
-      ++recvs;
       it = pending_.erase(it);
     } else {
       ++it;
@@ -351,9 +347,6 @@ void MpiBackend::peer_failed(int remote) {
   }
 
   rank_.purge_peer(remote);
-  if (rec_ != nullptr && released_sends.size() + recvs > 0) {
-    rec_->counter("ce.peer_failed_cancels").add(released_sends.size() + recvs);
-  }
   for (Entry& e : released_sends) {
     if (e.l_cb) {
       e.l_cb(*this, e.lreg, e.ldispl, e.rreg, e.rdispl, e.size, e.remote,

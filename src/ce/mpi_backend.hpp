@@ -122,7 +122,6 @@ class MpiBackend final : public CommEngine {
   std::deque<Pending> pending_;       ///< deferred sends + dynamic recvs
   std::uint64_t next_data_tag_;
   std::function<void()> wake_;
-  obs::Recorder* rec_ = nullptr;
   obs::Histogram* put_local_ns_ = nullptr;   ///< null without a recorder
   obs::Histogram* put_remote_ns_ = nullptr;
 

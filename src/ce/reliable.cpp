@@ -160,9 +160,6 @@ void ReliableChannel::peer_dead(net::NodeId peer) {
   }
   unacked_[i].clear();
   domain_.stats_.peer_dead_fails += seqs.size();
-  if (domain_.rec_ != nullptr && !seqs.empty()) {
-    domain_.rec_->counter("ce.rel.peer_dead_fails").add(seqs.size());
-  }
   if (domain_.on_error_) {
     for (const std::uint64_t seq : seqs) {
       domain_.on_error_(node_, peer, seq, Status::ErrPeerDead);
@@ -192,9 +189,6 @@ void ReliableChannel::shim_send(net::Message&& m,
     // if the frame had left the NIC — and the failure surfaces
     // immediately through the error callback.
     ++domain_.stats_.peer_dead_fails;
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.rel.peer_dead_fails").add();
-    }
     const net::NodeId dst = m.dst;
     if (on_sent) {
       eng_.schedule_on(net::Fabric::shard_of(node_), eng_.now(),
@@ -232,7 +226,6 @@ void ReliableChannel::shim_send(net::Message&& m,
   unacked_[peer].push_back(SeqSlot{seq, slot});
 
   ++domain_.stats_.data_sent;
-  if (domain_.rec_ != nullptr) domain_.rec_->counter("ce.rel.data").add();
   transmit(dst, seq, std::move(on_sent));
   arm_timer(dst, seq);
 }
@@ -290,9 +283,6 @@ void ReliableChannel::expire(net::NodeId dst, std::uint64_t seq) {
     obs::FlightRecorder::global().record(node_, obs::FlightKind::RelTimeout,
                                          eng_.now(), 0,
                                          static_cast<std::uint64_t>(dst), seq);
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.rel.timeouts").add();
-    }
     if (u.timer != des::kInvalidEvent) eng_.cancel(u.timer);
     const DeliveryErrorCallback& cb = domain_.on_error_;
     const ReliableDomain::SuspicionHook& hook = domain_.on_suspect_;
@@ -309,9 +299,6 @@ void ReliableChannel::expire(net::NodeId dst, std::uint64_t seq) {
       // peer, so a dead node's stream of give-ups doesn't flood — instead
       // of silently discarding it.
       ++domain_.stats_.unhandled_errors;
-      if (domain_.rec_ != nullptr) {
-        domain_.rec_->counter("ce.rel.err_unhandled").add();
-      }
       if (!err_logged_[static_cast<std::size_t>(dst)]) {
         err_logged_[static_cast<std::size_t>(dst)] = true;
         std::fprintf(stderr,
@@ -329,9 +316,6 @@ void ReliableChannel::expire(net::NodeId dst, std::uint64_t seq) {
   obs::FlightRecorder::global().record(node_, obs::FlightKind::RelRetransmit,
                                        eng_.now(), 0,
                                        static_cast<std::uint64_t>(dst), seq);
-  if (domain_.rec_ != nullptr) {
-    domain_.rec_->counter("ce.rel.retransmits").add();
-  }
   if (des::TraceSink* const sink = eng_.trace_sink()) {
     // Mark the retransmission on the sender's egress track so traces show
     // why a flow arrow spans several RTOs.
@@ -380,12 +364,10 @@ void ReliableChannel::on_control(const net::Message& m) {
 
   // ACK: done.
   if (u.timer != des::kInvalidEvent) eng_.cancel(u.timer);
-  if (domain_.rec_ != nullptr) {
+  if (domain_.ack_ns_ != nullptr) {
     const auto wait = static_cast<double>(eng_.now() - u.first_sent);
-    domain_.rec_->histogram("ce.rel.ack_ns").add(wait);
-    if (u.attempts > 1) {
-      domain_.rec_->histogram("ce.rel.retransmit_latency_ns").add(wait);
-    }
+    domain_.ack_ns_->add(wait);
+    if (u.attempts > 1) domain_.retransmit_latency_ns_->add(wait);
   }
   outstanding.erase(outstanding.begin() + static_cast<std::ptrdiff_t>(i));
   slab_release(slot);
@@ -408,9 +390,6 @@ bool ReliableChannel::shim_deliver(net::Message& m) {
       // A corrupted control frame is simply lost; the data timer covers
       // the lost-ACK case.
       ++domain_.stats_.corrupt_discarded;
-      if (domain_.rec_ != nullptr) {
-        domain_.rec_->counter("ce.rel.corrupt").add();
-      }
       return true;
     }
     on_control(m);
@@ -425,11 +404,7 @@ bool ReliableChannel::shim_deliver(net::Message& m) {
     // only), so the NACK targets the right frame; a real implementation
     // would fall back to the sender's timer, which still holds here.
     ++domain_.stats_.corrupt_discarded;
-    if (domain_.rec_ != nullptr) {
-      domain_.rec_->counter("ce.rel.corrupt").add();
-    }
     ++domain_.stats_.nacks_sent;
-    if (domain_.rec_ != nullptr) domain_.rec_->counter("ce.rel.nacks").add();
     send_control(m.src, kRelNack, m.hdr.rel_seq);
     return true;
   }
@@ -438,15 +413,12 @@ bool ReliableChannel::shim_deliver(net::Message& m) {
     // Duplicate (fabric-injected or a retransmission racing its ACK):
     // suppress, but re-ACK — the original ACK may have been the casualty.
     ++domain_.stats_.duplicates_suppressed;
-    if (domain_.rec_ != nullptr) domain_.rec_->counter("ce.rel.dups").add();
     ++domain_.stats_.acks_sent;
-    if (domain_.rec_ != nullptr) domain_.rec_->counter("ce.rel.acks").add();
     send_control(m.src, kRelAck, m.hdr.rel_seq);
     return true;
   }
 
   ++domain_.stats_.acks_sent;
-  if (domain_.rec_ != nullptr) domain_.rec_->counter("ce.rel.acks").add();
   send_control(m.src, kRelAck, m.hdr.rel_seq);
   return false;  // verified, first copy: up to the library
 }
@@ -483,6 +455,17 @@ std::size_t ReliableDomain::unacked() const {
 
 std::size_t ReliableDomain::unacked(net::NodeId node) const {
   return channels_.at(static_cast<std::size_t>(node))->unacked();
+}
+
+void ReliableDomain::set_recorder(obs::Recorder* rec) {
+  ack_ns_ = rec != nullptr ? &rec->histogram("ce.rel.ack_ns") : nullptr;
+  retransmit_latency_ns_ =
+      rec != nullptr ? &rec->histogram("ce.rel.retransmit_latency_ns")
+                     : nullptr;
+}
+
+void ReliableDomain::export_metrics(obs::Recorder& rec) const {
+  obs::export_counters(stats_, kReliableCounters, rec);
 }
 
 void ReliableDomain::peer_dead(net::NodeId peer) {

@@ -34,6 +34,7 @@
 #include "des/engine.hpp"
 #include "des/rng.hpp"
 #include "net/fabric.hpp"
+#include "obs/stats.hpp"
 
 namespace ce {
 
@@ -63,7 +64,8 @@ struct Backoff {
   int attempt_ = 0;
 };
 
-/// Aggregate sublayer counters (also exported via obs::Recorder "ce.rel.*").
+/// Aggregate sublayer counters, exported as "ce.rel.*" through
+/// kReliableCounters.
 struct ReliableStats {
   std::uint64_t data_sent = 0;
   std::uint64_t retransmits = 0;
@@ -74,6 +76,19 @@ struct ReliableStats {
   std::uint64_t corrupt_discarded = 0;
   std::uint64_t peer_dead_fails = 0;  ///< sends failed fast with ErrPeerDead
   std::uint64_t unhandled_errors = 0; ///< give-ups with no callback installed
+};
+
+/// Export names of the ReliableStats fields.
+inline constexpr obs::CounterField<ReliableStats> kReliableCounters[] = {
+    {"ce.rel.data", &ReliableStats::data_sent},
+    {"ce.rel.retransmits", &ReliableStats::retransmits},
+    {"ce.rel.timeouts", &ReliableStats::timeouts},
+    {"ce.rel.acks", &ReliableStats::acks_sent},
+    {"ce.rel.nacks", &ReliableStats::nacks_sent},
+    {"ce.rel.dups", &ReliableStats::duplicates_suppressed},
+    {"ce.rel.corrupt", &ReliableStats::corrupt_discarded},
+    {"ce.rel.peer_dead_fails", &ReliableStats::peer_dead_fails},
+    {"ce.rel.err_unhandled", &ReliableStats::unhandled_errors},
 };
 
 /// Delivery-failure notification: the sublayer gave up on (src -> dst,
@@ -177,8 +192,8 @@ class ReliableChannel final : public net::LinkShim {
 };
 
 /// Owns one ReliableChannel per node and installs them as NIC shims;
-/// uninstalls on destruction.  Holds the shared config, stats, recorder
-/// hookup, and the error callback.
+/// uninstalls on destruction.  Holds the shared config, stats, histogram
+/// handles, and the error callback.
 class ReliableDomain {
  public:
   ReliableDomain(net::Fabric& fabric, ReliableConfig cfg);
@@ -204,9 +219,13 @@ class ReliableDomain {
   void peer_dead(net::NodeId peer);
   void peer_alive(net::NodeId peer);
 
-  /// Metrics sink for ce.rel.* counters and retransmit-latency histograms
-  /// (null detaches; not owned).
-  void set_recorder(obs::Recorder* rec) { rec_ = rec; }
+  /// Metrics sink for the ACK-wait and retransmit-latency histograms
+  /// ("ce.rel.ack_ns", "ce.rel.retransmit_latency_ns"), resolved once
+  /// here (null detaches; not owned).
+  void set_recorder(obs::Recorder* rec);
+
+  /// Adds the nonzero ReliableStats counters to `rec` ("ce.rel.*").
+  void export_metrics(obs::Recorder& rec) const;
 
   /// Messages currently awaiting an ACK, over all nodes (quiescence
   /// check for drivers and tests).
@@ -223,7 +242,8 @@ class ReliableDomain {
   net::Fabric& fabric_;
   ReliableConfig cfg_;
   ReliableStats stats_;
-  obs::Recorder* rec_ = nullptr;
+  obs::Histogram* ack_ns_ = nullptr;  ///< null without a recorder
+  obs::Histogram* retransmit_latency_ns_ = nullptr;
   DeliveryErrorCallback on_error_;
   SuspicionHook on_suspect_;
   std::vector<std::unique_ptr<ReliableChannel>> channels_;

@@ -59,4 +59,17 @@ CommWorld::~CommWorld() {
   if (fabric_.recorder() == &recorder_) fabric_.set_recorder(nullptr);
 }
 
+obs::Recorder CommWorld::metrics_snapshot() const {
+  obs::Recorder snap = recorder_;
+  fabric_.export_metrics(snap);
+  if (reliable_ != nullptr) reliable_->export_metrics(snap);
+  if (fd_ != nullptr) fd_->export_metrics(snap);
+  std::uint64_t cancels = 0;
+  for (const auto& e : engines_) {
+    cancels += e->stats().peer_failed_sends + e->stats().peer_failed_recvs;
+  }
+  if (cancels > 0) snap.counter("ce.peer_failed_cancels").add(cancels);
+  return snap;
+}
+
 }  // namespace ce

@@ -30,9 +30,17 @@ class CommWorld {
 
   BackendKind kind() const { return kind_; }
 
-  /// World-wide metrics: the fabric and every engine record into this.
+  /// World-wide live metrics: the histograms the fabric, every engine and
+  /// the reliability/detector sublayers sample into.  Holds no counters;
+  /// those live in each layer's stats struct (see metrics_snapshot).
   obs::Recorder& metrics() { return recorder_; }
   const obs::Recorder& metrics() const { return recorder_; }
+
+  /// A copy of metrics() plus every layer's counters: the fabric's
+  /// (net.*), the reliability and detector sublayers' (ce.rel.*,
+  /// ce.fd.*) and the engines' summed peer-failure cancellations
+  /// (ce.peer_failed_cancels).  Counters at zero are left out.
+  obs::Recorder metrics_snapshot() const;
   int size() const { return static_cast<int>(engines_.size()); }
   CommEngine& engine(int node) {
     return *engines_.at(static_cast<std::size_t>(node));

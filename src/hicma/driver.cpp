@@ -108,8 +108,7 @@ ExperimentResult run_tlr_cholesky(const ExperimentConfig& cfg) {
   }
   res.fabric_messages = fabric.total_messages();
   res.fabric_bytes = fabric.total_bytes();
-  fabric.export_metrics(comm.metrics());
-  res.metrics = comm.metrics();
+  res.metrics = comm.metrics_snapshot();
   amt::export_latency_metrics(res.runtime_stats, res.metrics);
   res.mean_rank = graph.mean_offdiag_rank();
   if (cfg.tlr.mode == TlrOptions::Mode::Real) {

@@ -43,8 +43,9 @@ struct ExperimentResult {
   double residual = -1;             ///< real mode: ||LL^T - A|| / ||A||
   std::uint64_t tasks = 0;
   std::uint64_t events_fired = 0;   ///< DES events fired over the run
-  /// Snapshot of the fabric/backend metric recorder (wire transit,
-  /// put latencies, queue waits — histograms with percentiles).
+  /// CommWorld::metrics_snapshot() plus the runtime's amt.lat.*
+  /// histograms: wire transit, put latencies, queue waits (histograms
+  /// with percentiles) and every layer's nonzero counters.
   obs::Recorder metrics;
 };
 

@@ -155,14 +155,10 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
 
 void Fabric::fire_crash(NodeId node) {
   ++fault_stats_.crashes;
-  count_fault("net.fault.crashes");
   const std::size_t n = eng_.cancel_owner(shard_of(node));
   obs::FlightRecorder::global().record(node, obs::FlightKind::Crash,
                                        eng_.now(), 0, n);
   fault_stats_.crash_cancelled_events += n;
-  if (rec_ != nullptr && n > 0) {
-    rec_->counter("net.fault.crash_cancelled").add(n);
-  }
   crashed_[static_cast<std::size_t>(node)] = true;
   for (const CrashHandler& h : crash_handlers_) h(node, false);
 }
@@ -176,10 +172,8 @@ void Fabric::fire_restart(NodeId node) {
 
 void Fabric::count_crash_drop(std::uint64_t wire_bytes) {
   ++fault_stats_.crash_drops;
-  count_fault("net.fault.crash_drops");
   ++fault_stats_.drops;
   fault_stats_.dropped_bytes += wire_bytes;
-  count_fault("net.fault.drops");
 }
 
 void Fabric::check_node(const char* what, NodeId n) const {
@@ -246,14 +240,9 @@ void Nic::dispatch(Message&& m) {
     // protocol tore its handler down) and is dropped, counted.
     assert(fabric_.cfg_.faults.any() && "no deliver handler installed");
     ++fabric_.fault_stats_.undeliverable;
-    fabric_.count_fault("net.fault.undeliverable");
     return;
   }
   deliver_(std::move(m));
-}
-
-void Fabric::count_fault(const char* name) {
-  if (rec_ != nullptr) rec_->counter(name).add();
 }
 
 void Fabric::set_recorder(obs::Recorder* rec) {
@@ -306,14 +295,12 @@ Fabric::FaultPlan Fabric::plan_faults() {
     plan.extra_latency += static_cast<des::Duration>(
         fault_rng_.uniform(0.0, static_cast<double>(f.spike_max)));
     ++fault_stats_.spikes;
-    count_fault("net.fault.spikes");
   }
   return plan;
 }
 
 void Fabric::corrupt_in_flight(Message& m) {
   ++fault_stats_.corruptions;
-  count_fault("net.fault.corruptions");
   if (m.payload != nullptr && !m.payload->empty()) {
     // Payloads are shared immutable buffers: corrupt a private (pooled)
     // copy so the sender's bytes (and any retransmit of them) stay intact.
@@ -382,14 +369,12 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
       egress_start = stall_end;
       egress_end = egress_start + occ;
       ++fault_stats_.stalled_msgs;
-      count_fault("net.fault.stalled_msgs");
     } else if (egress_start < f.stall_start && egress_end > f.stall_start) {
       // Straddle: the tail of this transfer was previously priced as if
       // the NIC kept transmitting through the window — the bug this
       // branch fixes.  The frozen interval is inserted wholesale.
       egress_end += f.stall_duration;
       ++fault_stats_.stalled_msgs;
-      count_fault("net.fault.stalled_msgs");
     }
   }
   src.egress_free_ = egress_end;
@@ -408,10 +393,8 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
   if (brownout_active && m.src == f.brownout_node &&
       egress_start < brownout_end && egress_end > f.brownout_start) {
     ++fault_stats_.brownout_drops;
-    count_fault("net.fault.brownout_drops");
     ++fault_stats_.drops;
     fault_stats_.dropped_bytes += m.wire_bytes;
-    count_fault("net.fault.drops");
     obs::FlightRecorder::global().record(
         m.src, obs::FlightKind::MsgDrop, now,
         static_cast<std::uint16_t>(obs::DropWhy::Brownout),
@@ -441,7 +424,6 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
     // ingress occupancy, no delivery.
     ++fault_stats_.drops;
     fault_stats_.dropped_bytes += m.wire_bytes;
-    count_fault("net.fault.drops");
     obs::FlightRecorder::global().record(
         m.src, obs::FlightKind::MsgDrop, now,
         static_cast<std::uint16_t>(obs::DropWhy::Fault),
@@ -470,10 +452,8 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
   if (brownout_active && m.dst == f.brownout_node &&
       available_at >= f.brownout_start && available_at < brownout_end) {
     ++fault_stats_.brownout_drops;
-    count_fault("net.fault.brownout_drops");
     ++fault_stats_.drops;
     fault_stats_.dropped_bytes += m.wire_bytes;
-    count_fault("net.fault.drops");
     obs::FlightRecorder::global().record(
         m.dst, obs::FlightKind::MsgDrop, now,
         static_cast<std::uint16_t>(obs::DropWhy::Brownout),
@@ -518,12 +498,10 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
       ingress_start = stall_end;
       ingress_end = ingress_start + occ;
       ++fault_stats_.stalled_msgs;
-      count_fault("net.fault.stalled_msgs");
     } else if (ingress_start < f.stall_start &&
                ingress_end > f.stall_start) {
       ingress_end += f.stall_duration;
       ++fault_stats_.stalled_msgs;
-      count_fault("net.fault.stalled_msgs");
     }
   }
   dst.ingress_free_ = ingress_end;
@@ -566,7 +544,6 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
     total_bytes_ += dup->wire_bytes;
     ++fault_stats_.dups;
     fault_stats_.dup_bytes += dup->wire_bytes;
-    count_fault("net.fault.dups");
     if (h_wire_transit_ != nullptr) {
       h_wire_transit_->add(static_cast<double>(dup_end - egress_start));
     }
@@ -583,17 +560,9 @@ void Fabric::do_send(Nic& src, Message m, Nic::SentHandler on_sent) {
 }
 
 void Fabric::export_metrics(obs::Recorder& rec) const {
-  // Totals the send path accumulates as plain fields (no per-message
-  // recorder cost): fabric frame totals and the fault BYTE counters —
-  // the per-event fault counts are already live-recorded by count_fault.
   rec.counter("net.msgs").add(total_msgs_);
   rec.counter("net.bytes").add(total_bytes_);
-  if (fault_stats_.dropped_bytes > 0) {
-    rec.counter("net.fault.dropped_bytes").add(fault_stats_.dropped_bytes);
-  }
-  if (fault_stats_.dup_bytes > 0) {
-    rec.counter("net.fault.dup_bytes").add(fault_stats_.dup_bytes);
-  }
+  obs::export_counters(fault_stats_, kFaultCounters, rec);
   std::uint64_t delivered_msgs = 0;
   std::uint64_t delivered_bytes = 0;
   for (const auto& nic : nics_) {

@@ -42,6 +42,8 @@ struct NicStats {
 };
 
 /// Fabric-wide fault-injection counters (all zero when faults are off).
+/// The only store of these counts; Fabric::export_metrics writes them out
+/// through kFaultCounters.
 struct FaultStats {
   std::uint64_t drops = 0;           ///< includes brownout drops
   std::uint64_t dropped_bytes = 0;
@@ -55,6 +57,22 @@ struct FaultStats {
   std::uint64_t crashes = 0;        ///< fail-stop crash events fired
   std::uint64_t crash_drops = 0;    ///< frames eaten by a crashed NIC
   std::uint64_t crash_cancelled_events = 0;  ///< DES events killed by crashes
+};
+
+/// Export names of the FaultStats fields.
+inline constexpr obs::CounterField<FaultStats> kFaultCounters[] = {
+    {"net.fault.drops", &FaultStats::drops},
+    {"net.fault.dropped_bytes", &FaultStats::dropped_bytes},
+    {"net.fault.dups", &FaultStats::dups},
+    {"net.fault.dup_bytes", &FaultStats::dup_bytes},
+    {"net.fault.corruptions", &FaultStats::corruptions},
+    {"net.fault.spikes", &FaultStats::spikes},
+    {"net.fault.stalled_msgs", &FaultStats::stalled_msgs},
+    {"net.fault.brownout_drops", &FaultStats::brownout_drops},
+    {"net.fault.undeliverable", &FaultStats::undeliverable},
+    {"net.fault.crashes", &FaultStats::crashes},
+    {"net.fault.crash_drops", &FaultStats::crash_drops},
+    {"net.fault.crash_cancelled", &FaultStats::crash_cancelled_events},
 };
 
 class Fabric;
@@ -207,20 +225,19 @@ class Fabric {
     crash_handlers_.push_back(std::move(fn));
   }
 
-  /// Attaches a metrics recorder ("net.wire_transit_ns",
-  /// "net.egress_wait_ns").  Null detaches; the fabric does not own it.
-  /// Resolves the per-message histograms once, so the send path never
-  /// pays a by-name lookup.
+  /// Attaches a metrics recorder for the per-message histograms
+  /// ("net.wire_transit_ns", "net.egress_wait_ns", "net.fault.delay_ns").
+  /// Null detaches; the fabric does not own it.  Resolves the histograms
+  /// once, so the send path never pays a by-name lookup.
   void set_recorder(obs::Recorder* rec);
   obs::Recorder* recorder() const { return rec_; }
 
-  /// End-of-run export of the counters that are NOT live-recorded on the
-  /// send path: fault byte totals (net.fault.dropped_bytes / dup_bytes),
-  /// fabric frame totals (net.msgs / net.bytes), aggregate NIC delivery
-  /// counters (net.delivered_msgs / net.delivered_bytes), and — when the
-  /// topology routes over explicit links — per-boundary-tier and
-  /// per-link msg/byte counters (net.link.*).  Call once at quiesce;
-  /// calling twice double-counts.
+  /// Adds the fabric's counters to `rec`: frame totals (net.msgs /
+  /// net.bytes), the nonzero FaultStats fields (net.fault.*), aggregate
+  /// NIC delivery counters (net.delivered_msgs / net.delivered_bytes),
+  /// and — when the topology routes over explicit links — per-boundary-
+  /// tier and per-link msg/byte counters (net.link.*).  Call once per
+  /// recorder; a second call into the same recorder double-counts.
   void export_metrics(obs::Recorder& rec) const;
 
  private:
@@ -258,7 +275,6 @@ class Fabric {
   };
   FaultPlan plan_faults();
   void corrupt_in_flight(Message& m);
-  void count_fault(const char* name);
 
   /// True when [a, b) overlaps `node`'s crash window (egress-side test).
   bool crash_overlaps(NodeId node, des::Time a, des::Time b) const {

@@ -6,41 +6,6 @@
 
 namespace obs {
 
-void Gauge::set(double v) {
-  value_ = v;
-  if (!seen_ || v > max_) max_ = v;
-  if (!seen_ || v < min_) min_ = v;
-  sum_ += v;
-  ++count_;
-  seen_ = true;
-}
-
-void Gauge::set_at(double v, double t) {
-  if (timed_ && t > last_t_) {
-    tw_integral_ += value_ * (t - last_t_);
-    tw_span_ += t - last_t_;
-  }
-  last_t_ = t;
-  timed_ = true;
-  set(v);
-}
-
-void Gauge::merge(const Gauge& o) {
-  if (!o.seen_) return;
-  value_ = o.value_;  // "last writer": merge order is caller-defined
-  if (!seen_ || o.max_ > max_) max_ = o.max_;
-  if (!seen_ || o.min_ < min_) min_ = o.min_;
-  sum_ += o.sum_;
-  count_ += o.count_;
-  // Disjoint per-node observation windows: integrals and spans add, so
-  // the merged tw_mean() weights each side by its observed span.  The
-  // merged gauge does not continue either side's set_at() stream.
-  tw_integral_ += o.tw_integral_;
-  tw_span_ += o.tw_span_;
-  timed_ = false;
-  seen_ = true;
-}
-
 int Histogram::bucket_of(double v) {
   if (!(v >= 1.0)) return 0;  // sub-unit, zero, negative, NaN
   int exp = 0;
@@ -115,12 +80,6 @@ Counter& Recorder::counter(std::string_view name) {
   return counters_.emplace(std::string(name), Counter{}).first->second;
 }
 
-Gauge& Recorder::gauge(std::string_view name) {
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) return it->second;
-  return gauges_.emplace(std::string(name), Gauge{}).first->second;
-}
-
 Histogram& Recorder::histogram(std::string_view name) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
@@ -132,11 +91,6 @@ const Counter* Recorder::find_counter(std::string_view name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* Recorder::find_gauge(std::string_view name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Histogram* Recorder::find_histogram(std::string_view name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
@@ -144,33 +98,7 @@ const Histogram* Recorder::find_histogram(std::string_view name) const {
 
 void Recorder::merge(const Recorder& o) {
   for (const auto& [name, c] : o.counters_) counter(name).merge(c);
-  for (const auto& [name, g] : o.gauges_) gauge(name).merge(g);
   for (const auto& [name, h] : o.histograms_) histogram(name).merge(h);
-}
-
-std::string Recorder::summary() const {
-  std::string out;
-  char buf[256];
-  for (const auto& [name, c] : counters_) {
-    std::snprintf(buf, sizeof buf, "%-32s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c.value()));
-    out += buf;
-  }
-  for (const auto& [name, g] : gauges_) {
-    std::snprintf(buf, sizeof buf,
-                  "%-32s %.3g (min %.3g, max %.3g, mean %.3g, n %llu)\n",
-                  name.c_str(), g.value(), g.min(), g.max(), g.mean(),
-                  static_cast<unsigned long long>(g.count()));
-    out += buf;
-  }
-  for (const auto& [name, h] : histograms_) {
-    std::snprintf(buf, sizeof buf,
-                  "%-32s n=%llu mean=%.3g p50=%.3g p99=%.3g max=%.3g\n",
-                  name.c_str(), static_cast<unsigned long long>(h.count()),
-                  h.mean(), h.p50(), h.p99(), h.max());
-    out += buf;
-  }
-  return out;
 }
 
 namespace {
@@ -218,31 +146,10 @@ std::string metrics_json(const Recorder& rec) {
     out += std::to_string(c.value());
   }
   out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : rec.gauges()) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_json_string(out, name);
-    out += ": {\"value\": ";
-    append_json_number(out, g.value());
-    out += ", \"min\": ";
-    append_json_number(out, g.min());
-    out += ", \"max\": ";
-    append_json_number(out, g.max());
-    out += ", \"count\": ";
-    out += std::to_string(g.count());
-    out += ", \"mean\": ";
-    append_json_number(out, g.mean());
-    out += ", \"tw_mean\": ";
-    append_json_number(out, g.tw_mean());
-    out += "}";
-  }
-  out += first ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : rec.histograms()) {
+    if (h.count() == 0) continue;
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";

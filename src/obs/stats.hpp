@@ -1,5 +1,6 @@
-// Metrics primitives: Counter, Gauge, log-bucketed Histogram, and the
-// named Recorder registry.
+// Metrics primitives: Counter, log-bucketed Histogram, the named Recorder
+// registry, and the export tables that carry a layer's stats struct into
+// a Recorder.
 //
 // Everything here is zero-dependency, deterministic, and mergeable:
 // per-node (or per-backend) recorders can be combined into cluster-wide
@@ -8,9 +9,15 @@
 // octave, ~9% relative resolution) so p50/p90/p99/max queries cost O(1)
 // memory regardless of sample count — distributions, not just the means
 // the earlier ad-hoc counters reported.
+//
+// Event counts have one home: a plain field in their layer's stats
+// struct.  A live Recorder only holds histograms, resolved once to
+// Histogram* by each layer's set_recorder; counters reach a Recorder
+// at export, through the layer's CounterField table.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -27,53 +34,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-/// Sampled level (queue depths, window occupancy, ...): the last written
-/// value plus the extremes, the sample count, the plain mean, and — when
-/// samples carry timestamps via set_at() — a time-weighted mean.
-///
-/// merge() is how per-node gauges become cluster aggregates: count, sum,
-/// and the time-weighted integral add across nodes, so mean() is the mean
-/// over every sample taken anywhere and tw_mean() weights each node's
-/// levels by how long they were held.  value() stays last-writer-wins
-/// (merge order), which is only meaningful for single-writer gauges —
-/// aggregate consumers should read mean()/tw_mean()/min()/max().
-class Gauge {
- public:
-  void set(double v);
-  /// set() with a timestamp: additionally charges the PREVIOUS value for
-  /// the [previous t, t) interval, so tw_mean() is the time average of the
-  /// held level.  Timestamps must be non-decreasing per gauge.
-  void set_at(double v, double t);
-  double value() const { return value_; }
-  double max() const { return max_; }
-  double min() const { return min_; }
-  std::uint64_t count() const { return count_; }
-  /// Mean over all set()/set_at() samples; 0 when empty.
-  double mean() const {
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-  }
-  /// Time-weighted mean over the set_at() intervals.  Falls back to the
-  /// plain mean when no time span was observed (zero or one set_at()).
-  double tw_mean() const {
-    return tw_span_ > 0 ? tw_integral_ / tw_span_ : mean();
-  }
-  /// Total observed span behind tw_mean(), in set_at() time units.
-  double tw_span() const { return tw_span_; }
-  void merge(const Gauge& o);
-
- private:
-  double value_ = 0;
-  double max_ = 0;
-  double min_ = 0;
-  double sum_ = 0;
-  std::uint64_t count_ = 0;
-  double tw_integral_ = 0;  ///< sum of value * held-interval
-  double tw_span_ = 0;      ///< sum of held-interval lengths
-  double last_t_ = 0;
-  bool seen_ = false;
-  bool timed_ = false;  ///< a set_at() established last_t_
 };
 
 /// Log-bucketed histogram of non-negative samples (latencies in ns, byte
@@ -118,28 +78,22 @@ class Histogram {
 /// Named-metric registry.  Lookup creates on first use; iteration order is
 /// the name order (std::map), so reports are deterministic.  Copyable, so
 /// results structs can carry a snapshot out of a finished simulation.
+/// Map nodes are stable, so a Histogram& handed out stays valid for the
+/// recorder's lifetime.
 class Recorder {
  public:
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   /// Read-only lookup; null when the metric was never touched.
   const Counter* find_counter(std::string_view name) const;
-  const Gauge* find_gauge(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
   /// Combines another recorder into this one, metric by metric.
   void merge(const Recorder& o);
 
-  /// Human-readable dump (one line per metric) for logs and examples.
-  std::string summary() const;
-
   const std::map<std::string, Counter, std::less<>>& counters() const {
     return counters_;
-  }
-  const std::map<std::string, Gauge, std::less<>>& gauges() const {
-    return gauges_;
   }
   const std::map<std::string, Histogram, std::less<>>& histograms() const {
     return histograms_;
@@ -147,13 +101,32 @@ class Recorder {
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
+/// One row of a stats struct's export table: the exported metric name and
+/// the struct field that holds the count.
+template <class Stats>
+struct CounterField {
+  const char* name;
+  std::uint64_t Stats::*field;
+};
+
+/// Adds every nonzero field of `s` listed in `table` to `rec` under its
+/// name.  Zero fields are skipped, so a counter appears in the export
+/// exactly when it counted something.
+template <class Stats, std::size_t N>
+void export_counters(const Stats& s, const CounterField<Stats> (&table)[N],
+                     Recorder& rec) {
+  for (const CounterField<Stats>& f : table) {
+    if (s.*f.field != 0) rec.counter(f.name).add(s.*f.field);
+  }
+}
+
 /// Machine-readable dump of a recorder: one JSON object with "counters"
-/// (name -> value), "gauges" (name -> {value,min,max}), and "histograms"
-/// (name -> {count,sum,mean,min,max,p50,p90,p99}).  Key order follows the
+/// (name -> value) and "histograms" (name -> {count,sum,mean,min,max,p50,
+/// p90,p99}).  A histogram without samples is left out, so a metric
+/// appears if and only if it observed something.  Key order follows the
 /// recorder's (sorted) iteration order, so outputs of identical runs are
 /// byte-identical and diffable in CI.
 std::string metrics_json(const Recorder& rec);

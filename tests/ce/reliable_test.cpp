@@ -19,6 +19,7 @@
 #include "des/rng.hpp"
 #include "des/sim_thread.hpp"
 #include "net/fabric.hpp"
+#include "obs/stats.hpp"
 
 namespace {
 
@@ -268,6 +269,72 @@ TEST_P(RelBackends, ChaosScheduleIsDeterministicPerSeed) {
                            rs.corrupt_discarded, w.eng.now());
   };
   EXPECT_EQ(run(11), run(11)) << "same seed, same delivery schedule";
+}
+
+// One cell per counter: after a reliable + failure-detector run the live
+// recorder holds histograms only, and metrics_snapshot() carries every
+// layer's stats struct field by field — present exactly when nonzero.
+template <class Stats, std::size_t N>
+void expect_exported(const obs::Recorder& snap, const Stats& s,
+                     const obs::CounterField<Stats> (&table)[N]) {
+  for (const obs::CounterField<Stats>& f : table) {
+    SCOPED_TRACE(f.name);
+    const obs::Counter* c = snap.find_counter(f.name);
+    if (s.*f.field == 0) {
+      EXPECT_EQ(c, nullptr);
+    } else {
+      ASSERT_NE(c, nullptr);
+      EXPECT_EQ(c->value(), s.*f.field);
+    }
+  }
+}
+
+TEST(MetricsSnapshot, LiveRecorderKeepsOnlyHistogramsOnLci) {
+  net::FabricConfig fc;
+  fc.faults.drop_prob = 0.05;
+  fc.faults.dup_prob = 0.05;
+  fc.faults.corrupt_prob = 0.05;
+  CeConfig cfg = RelWorld::make_reliable_cfg();
+  cfg.fd.enabled = true;
+  RelWorld w(2, BackendKind::Lci, fc, cfg);
+  int got = 0;
+  w.world.engine(1).tag_reg(kPing, [&](auto&&...) { ++got; }, nullptr, 64);
+  w.world.engine(0).tag_reg(kPing, [](auto&&...) {}, nullptr, 64);
+  const int kMsgs = 200;
+  for (int i = 0; i < kMsgs; ++i) {
+    ASSERT_EQ(w.world.engine(0).send_am(kPing, 1, &i, sizeof i),
+              ce::Status::Ok);
+  }
+  for (auto& l : w.loops) l->wake();
+  ASSERT_TRUE(w.eng.run_while_pending([&]() {
+    return got == kMsgs && w.world.reliability()->unacked() == 0;
+  }));
+  // Idle past a few heartbeat intervals so the detector fills the silence.
+  w.eng.run_until(w.eng.now() +
+                  4 * w.world.failure_detector()->config().heartbeat_interval);
+  w.world.failure_detector()->stop();
+  w.eng.run();
+
+  EXPECT_TRUE(w.world.metrics().counters().empty());
+  const obs::Histogram* ack = w.world.metrics().find_histogram("ce.rel.ack_ns");
+  ASSERT_NE(ack, nullptr);
+  EXPECT_GT(ack->count(), 0u);
+
+  const obs::Recorder snap = w.world.metrics_snapshot();
+  const ce::ReliableStats& rs = w.world.reliability()->stats();
+  const ce::FdStats& fs = w.world.failure_detector()->stats();
+  EXPECT_GT(rs.retransmits, 0u);
+  EXPECT_GT(fs.heartbeats_sent, 0u);
+  expect_exported(snap, rs, ce::kReliableCounters);
+  expect_exported(snap, fs, ce::kFdCounters);
+  expect_exported(snap, w.fab.fault_stats(), net::kFaultCounters);
+  ASSERT_NE(snap.find_counter("net.msgs"), nullptr);
+  EXPECT_EQ(snap.find_counter("net.msgs")->value(), w.fab.total_messages());
+  EXPECT_EQ(snap.find_counter("ce.peer_failed_cancels"), nullptr);
+  // The snapshot copies the live histograms and leaves the live recorder
+  // as it was.
+  EXPECT_EQ(snap.find_histogram("ce.rel.ack_ns")->count(), ack->count());
+  EXPECT_TRUE(w.world.metrics().counters().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RelBackends,

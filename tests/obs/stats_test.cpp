@@ -11,7 +11,6 @@
 namespace {
 
 using obs::Counter;
-using obs::Gauge;
 using obs::Histogram;
 using obs::Recorder;
 
@@ -23,75 +22,6 @@ TEST(Counter, AddsAndMerges) {
   EXPECT_EQ(a.value(), 5u);
   a.merge(b);
   EXPECT_EQ(a.value(), 15u);
-}
-
-TEST(Gauge, TracksExtremes) {
-  Gauge g;
-  g.set(5);
-  g.set(-3);
-  g.set(2);
-  EXPECT_DOUBLE_EQ(g.value(), 2);
-  EXPECT_DOUBLE_EQ(g.max(), 5);
-  EXPECT_DOUBLE_EQ(g.min(), -3);
-}
-
-TEST(Gauge, MergeIgnoresUntouched) {
-  Gauge a, untouched;
-  a.set(10);
-  a.merge(untouched);
-  EXPECT_DOUBLE_EQ(a.max(), 10);
-  EXPECT_DOUBLE_EQ(a.min(), 10);
-}
-
-TEST(Gauge, MergeCombinesExtremes) {
-  Gauge a, b;
-  a.set(10);
-  b.set(-7);
-  b.set(42);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value(), 42);  // last writer
-  EXPECT_DOUBLE_EQ(a.max(), 42);
-  EXPECT_DOUBLE_EQ(a.min(), -7);
-}
-
-// Cross-node merge semantics, pinned: min/max combine, count and sum
-// add (so mean() is the global sample mean), and the time-weighted
-// integrals add so tw_mean() weights each node by its observed span.
-// The merged "current value" stays last-writer by merge order.
-TEST(Gauge, MergeCarriesCountAndMeans) {
-  Gauge a, b;
-  // Node a: level 10 held for 4 time units, then 0.
-  a.set_at(10, 0);
-  a.set_at(0, 4);
-  // Node b: level 2 held for 2 time units, then 42.
-  b.set_at(2, 10);
-  b.set_at(42, 12);
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.value(), 42);  // last writer
-  EXPECT_DOUBLE_EQ(a.min(), 0);
-  EXPECT_DOUBLE_EQ(a.max(), 42);
-  EXPECT_EQ(a.count(), 4u);
-  EXPECT_DOUBLE_EQ(a.mean(), (10 + 0 + 2 + 42) / 4.0);
-  // (10*4 + 2*2) / (4 + 2): disjoint windows, each weighted by its span.
-  EXPECT_DOUBLE_EQ(a.tw_mean(), 44.0 / 6.0);
-  EXPECT_DOUBLE_EQ(a.tw_span(), 6.0);
-}
-
-TEST(Gauge, MergedGaugeDoesNotContinueTimedStream) {
-  Gauge a, b;
-  a.set_at(10, 0);
-  a.set_at(10, 4);
-  b.set_at(6, 0);
-  b.set_at(6, 2);
-  a.merge(b);
-  // A set_at() after the merge must not charge an interval spanning the
-  // two nodes' unrelated clocks: the first post-merge sample only
-  // re-establishes the time base.
-  a.set_at(100, 50);
-  EXPECT_DOUBLE_EQ(a.tw_span(), 6.0);
-  a.set_at(100, 51);
-  EXPECT_DOUBLE_EQ(a.tw_span(), 7.0);
-  EXPECT_DOUBLE_EQ(a.tw_mean(), (10 * 4 + 6 * 2 + 100 * 1) / 7.0);
 }
 
 TEST(Histogram, EmptyIsAllZero) {
@@ -241,14 +171,11 @@ TEST(Histogram, MergeEmptyIntoNonemptyAndBack) {
 TEST(MetricsJson, EmitsParsableJsonWithAllMetricKinds) {
   Recorder r;
   r.counter("ce.puts").add(7);
-  r.gauge("queue.depth").set(2);
-  r.gauge("queue.depth").set(5);
   r.histogram("lat_ns").add(100);
   r.histogram("lat_ns").add(300);
   const std::string j = obs::metrics_json(r);
   EXPECT_TRUE(obs::json_parse_ok(j)) << j;
   EXPECT_NE(j.find("\"ce.puts\": 7"), std::string::npos);
-  EXPECT_NE(j.find("\"queue.depth\""), std::string::npos);
   EXPECT_NE(j.find("\"lat_ns\""), std::string::npos);
   EXPECT_NE(j.find("\"count\": 2"), std::string::npos);
   EXPECT_NE(j.find("\"mean\": 200"), std::string::npos);
@@ -268,8 +195,43 @@ TEST(MetricsJson, EscapesHostileNamesAndIsDeterministic) {
   EXPECT_EQ(ja, obs::metrics_json(build()));
 }
 
+TEST(MetricsJson, OmitsEmptyHistograms) {
+  Recorder r;
+  r.histogram("resolved_never_sampled_ns");
+  r.histogram("lat_ns").add(100);
+  const std::string j = obs::metrics_json(r);
+  EXPECT_TRUE(obs::json_parse_ok(j)) << j;
+  EXPECT_NE(j.find("\"lat_ns\""), std::string::npos);
+  EXPECT_EQ(j.find("resolved_never_sampled_ns"), std::string::npos);
+  // A recorder whose only histogram is empty renders like an empty one.
+  Recorder only_empty;
+  only_empty.histogram("h");
+  EXPECT_EQ(obs::metrics_json(only_empty), obs::metrics_json(Recorder{}));
+}
+
 TEST(MetricsJson, EmptyRecorderIsValid) {
   EXPECT_TRUE(obs::json_parse_ok(obs::metrics_json(Recorder{})));
+}
+
+struct TwoCounts {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+constexpr obs::CounterField<TwoCounts> kTwoCounts[] = {
+    {"t.hits", &TwoCounts::hits},
+    {"t.misses", &TwoCounts::misses},
+};
+
+TEST(ExportCounters, WritesNonzeroFieldsOnlyAndAccumulates) {
+  Recorder r;
+  obs::export_counters(TwoCounts{3, 0}, kTwoCounts, r);
+  ASSERT_NE(r.find_counter("t.hits"), nullptr);
+  EXPECT_EQ(r.find_counter("t.hits")->value(), 3u);
+  EXPECT_EQ(r.find_counter("t.misses"), nullptr);
+  // A second export into the same recorder adds, like merging two nodes.
+  obs::export_counters(TwoCounts{1, 2}, kTwoCounts, r);
+  EXPECT_EQ(r.find_counter("t.hits")->value(), 4u);
+  EXPECT_EQ(r.find_counter("t.misses")->value(), 2u);
 }
 
 TEST(Recorder, CreatesOnUseAndFinds) {
@@ -281,8 +243,6 @@ TEST(Recorder, CreatesOnUseAndFinds) {
   EXPECT_EQ(r.find_histogram("lat"), nullptr);
   r.histogram("lat").add(10);
   EXPECT_EQ(r.find_histogram("lat")->count(), 1u);
-  r.gauge("depth").set(4);
-  EXPECT_DOUBLE_EQ(r.find_gauge("depth")->value(), 4);
 }
 
 TEST(Recorder, MergeCombinesByName) {
@@ -297,17 +257,6 @@ TEST(Recorder, MergeCombinesByName) {
   EXPECT_EQ(a.find_counter("only_b")->value(), 1u);
   EXPECT_EQ(a.find_histogram("lat")->count(), 2u);
   EXPECT_DOUBLE_EQ(a.find_histogram("lat")->max(), 300);
-}
-
-TEST(Recorder, SummaryListsEveryMetric) {
-  Recorder r;
-  r.counter("ce.puts").add(12);
-  r.histogram("net.wire_transit_ns").add(5000);
-  r.gauge("queue.depth").set(3);
-  const std::string s = r.summary();
-  EXPECT_NE(s.find("ce.puts"), std::string::npos);
-  EXPECT_NE(s.find("net.wire_transit_ns"), std::string::npos);
-  EXPECT_NE(s.find("queue.depth"), std::string::npos);
 }
 
 }  // namespace
