@@ -164,6 +164,64 @@ TEST(Fingerprint, MpiDeferredTransfersAreBitIdenticalToBaseline) {
   EXPECT_EQ(res.ce_stats.recvs_dynamic, 40u);
 }
 
+// The LCI paths no row above reaches, each pinned on the 8-node Model
+// run.  Captured before mlci, LciBackend and the runtime stopped
+// allocating per message.
+hicma::ExperimentConfig lci_row_config() {
+  hicma::ExperimentConfig cfg;
+  cfg.nodes = 8;
+  cfg.backend = ce::BackendKind::Lci;
+  cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
+  cfg.tlr.n = 36000;
+  cfg.tlr.nb = 3000;
+  return cfg;
+}
+
+// Every mlci resource pool squeezed to 2: AMs, handshakes and Direct
+// transfers hit Retry, and handshake receives are delegated to the
+// communication thread (§5.3.3).
+TEST(Fingerprint, LciBackPressureIsBitIdenticalToBaseline) {
+  hicma::ExperimentConfig cfg = lci_row_config();
+  cfg.lci.direct_slots = 2;
+  cfg.lci.packet_pool_size = 2;
+  cfg.lci.immediate_slots = 2;
+  const auto res = hicma::run_tlr_cholesky(cfg);
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(res.tts_s, 2.504186448);
+  EXPECT_EQ(res.fabric_messages, 2675u);
+  EXPECT_EQ(res.events_fired, 16956u);
+  EXPECT_GT(res.ce_stats.retries_delegated, 0u);
+  EXPECT_EQ(res.ce_stats.retries_delegated, 20u);
+}
+
+// LCI's native one-sided put (§7): no handshake, remote completion
+// through the device put handler.
+TEST(Fingerprint, LciNativePutIsBitIdenticalToBaseline) {
+  hicma::ExperimentConfig cfg = lci_row_config();
+  cfg.ce.native_put = true;
+  const auto res = hicma::run_tlr_cholesky(cfg);
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(res.tts_s, 2.6316856850000003);
+  EXPECT_EQ(res.fabric_messages, 1310u);
+  EXPECT_EQ(res.events_fired, 9870u);
+}
+
+// Buffered packets and the eager threshold raised to 1 MiB: most puts
+// ride inside their handshake (§5.3.3).
+TEST(Fingerprint, LciEagerPutsAreBitIdenticalToBaseline) {
+  hicma::ExperimentConfig cfg = lci_row_config();
+  cfg.lci.buffered_size = 1 << 20;
+  cfg.ce.eager_put_max = 1 << 20;
+  const auto res = hicma::run_tlr_cholesky(cfg);
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(res.tts_s, 2.5041675190000001);
+  EXPECT_EQ(res.fabric_messages, 1461u);
+  EXPECT_EQ(res.events_fired, 9180u);
+  EXPECT_GT(res.ce_stats.eager_puts, 0u);
+  EXPECT_EQ(res.ce_stats.eager_puts, 404u);
+  EXPECT_EQ(res.ce_stats.puts_started, 453u);
+}
+
 // The crash row above on the MPI backend: failure-detector confirmation
 // drives MpiBackend::peer_failed and mmpi::Rank::purge_peer over requests
 // wedged on the dead node.
