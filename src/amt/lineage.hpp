@@ -81,8 +81,13 @@ class LineageTracker {
     if (r.phase == TaskPhase::Done) --done_;
     r.phase = TaskPhase::Pending;
     r.home = reowner(t, survivors);
+    rehomed_ = true;
     return ++r.epoch;
   }
+
+  /// True once any task was re-homed; until then home() == rank_of()
+  /// for every task.
+  bool rehomed() const { return rehomed_; }
 
   /// Number of distinct tasks currently Done.
   std::uint64_t done_count() const { return done_; }
@@ -105,6 +110,7 @@ class LineageTracker {
   const TaskGraphDef& def_;
   std::unordered_map<TaskKey, Rec, TaskKeyHash> recs_;
   std::uint64_t done_ = 0;
+  bool rehomed_ = false;
 };
 
 /// Shared fault state: owned by the Runtime, consulted by every

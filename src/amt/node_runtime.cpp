@@ -29,6 +29,7 @@ void NodeRuntime::start() {
         eng_, "worker-" + std::to_string(rank_) + "." + std::to_string(w)));
     idle_workers_.push_back(w);
   }
+  running_.resize(static_cast<std::size_t>(cfg_.workers));
 
   // Communication thread + poll loop.
   comm_thread_ = std::make_unique<des::SimThread>(
@@ -74,10 +75,7 @@ void NodeRuntime::start() {
   def_.initial_tasks(rank_, initial);
   for (const TaskKey& t : initial) {
     assert(def_.num_inputs(t) == 0 && "initial task with inputs");
-    const des::Time rel_g = charged_global_now();
-    PathSums pred;
-    pred.overhead = rel_g;
-    task_ready(t, {}, pred, rel_g);
+    source_ready(t, charged_global_now());
   }
 }
 
@@ -99,60 +97,76 @@ void NodeRuntime::wake_comm() { comm_loop_->wake(); }
 // ---------------------------------------------------------------------------
 // Scheduling
 
-void NodeRuntime::task_ready(const TaskKey& key,
-                             std::vector<DataCopyPtr> inputs,
-                             const PathSums& pred, des::Time release_g) {
-  if (dead_) return;
+void NodeRuntime::source_ready(const TaskKey& key, des::Time rel_g) {
+  const std::uint32_t slot = task_states_.acquire();
+  TaskState& st = task_states_[slot];
+  st.key = key;
+  st.remaining = 0;
+  st.inputs.reset(0);
+  // The chain starts at global time zero; the gap until release counts
+  // as runtime overhead, so pred.total() == rel_g (the critical-path
+  // invariant).
+  st.in_sums = PathSums{};
+  st.in_sums.overhead = rel_g;
+  st.release_g = rel_g;
+  task_ready(slot);
+}
+
+void NodeRuntime::task_ready(std::uint32_t slot) {
+  const TaskKey key = task_states_[slot].key;
+  if (dead_) {
+    release_task(slot);
+    return;
+  }
   if (ft_ != nullptr) {
     if (ft_->lineage.is_done(key)) {
       ++stats_.dup_completions_suppressed;
+      release_task(slot);
       return;
     }
     ft_->lineage.mark_ready(key);
   }
-  ReadyTask rt;
-  rt.priority = def_.priority(key);
-  rt.seq = ready_seq_++;
-  rt.key = key;
-  rt.inputs = std::move(inputs);
-  rt.pred_sums = pred;
-  rt.release_g = release_g;
-  ready_.push(std::move(rt));
+  ready_.push(ReadyRef{def_.priority(key), ready_seq_++, slot});
   try_dispatch();
+}
+
+void NodeRuntime::release_task(std::uint32_t slot) {
+  task_states_[slot].inputs.reset(0);
+  task_states_.release(slot);
 }
 
 void NodeRuntime::try_dispatch() {
   while (!ready_.empty() && !idle_workers_.empty()) {
-    // priority_queue has no non-const top-move; copy the small parts and
-    // move the heap entry out via const_cast-free pop pattern.
-    ReadyTask task = std::move(const_cast<ReadyTask&>(ready_.top()));
-    ready_.pop();
     const int w = idle_workers_.back();
     idle_workers_.pop_back();
-    auto& worker = *workers_[static_cast<std::size_t>(w)];
-    worker.post_work(
-        cfg_.scheduler_cost,
-        [this, t = std::move(task), w]() mutable {
-          run_task(std::move(t), w);
-        },
-        "task");
+    running_[static_cast<std::size_t>(w)] = ready_.top().slot;
+    ready_.pop();
+    workers_[static_cast<std::size_t>(w)]->post_work(
+        cfg_.scheduler_cost, [this, w]() { run_task(w); }, "task");
   }
 }
 
-void NodeRuntime::run_task(ReadyTask&& task, int worker_idx) {
+void NodeRuntime::run_task(int worker_idx) {
   // Fail-stop: work items queued before the crash still fire (they live
   // under owner 0, not the node), but a dead node does no work.
   if (dead_) return;
+  const auto w = static_cast<std::size_t>(worker_idx);
+  const std::uint32_t slot = running_[w];
+  TaskState& task = task_states_[slot];
   if (ft_ != nullptr && ft_->lineage.is_done(task.key)) {
     // Lost the race with a re-execution elsewhere (possible only after a
     // false-positive death verdict): drop the duplicate run.
     ++stats_.dup_completions_suppressed;
+    release_task(slot);
     idle_workers_.push_back(worker_idx);
     try_dispatch();
     return;
   }
-  auto& worker = *workers_[static_cast<std::size_t>(worker_idx)];
-  RunContext ctx(std::move(task.inputs), def_.num_outputs(task.key));
+  auto& worker = *workers_[w];
+  // Task bodies never nest, so one output list serves every worker.
+  CopyList& outputs = outputs_;
+  outputs.reset(static_cast<std::size_t>(def_.num_outputs(task.key)));
+  RunContext ctx(task.inputs, outputs);
   std::optional<des::ChargeSpan> span;
   if (eng_.trace_sink() != nullptr) {
     char label[64];
@@ -175,7 +189,7 @@ void NodeRuntime::run_task(ReadyTask&& task, int worker_idx) {
   // invariant chain.total() == finish_g holds because pred_sums.total()
   // == release_g at every hand-off.
   const des::Time finish_g = charged_global_now();
-  PathSums chain = task.pred_sums;
+  PathSums chain = task.in_sums;
   chain.overhead += start_g - task.release_g;
   chain.compute += finish_g - start_g;
   ++chain.tasks;
@@ -183,7 +197,9 @@ void NodeRuntime::run_task(ReadyTask&& task, int worker_idx) {
   stats_.stages[Stage::TaskStart].add(
       static_cast<double>(start_g - task.release_g));
 
-  task_completed(task.key, ctx, chain);
+  task_completed(task.key, outputs, chain);
+  outputs.reset(0);
+  release_task(slot);
   idle_workers_.push_back(worker_idx);
   try_dispatch();
 }
@@ -196,20 +212,25 @@ void NodeRuntime::deliver_local(const Dep& dep, const DataCopyPtr& copy,
     ++stats_.dup_inputs_dropped;
     return;
   }
-  auto [it, created] = task_states_.try_emplace(dep.task);
-  TaskState& st = it->second;
-  if (created) {
-    st.remaining = def_.num_inputs(dep.task);
-    st.inputs.resize(static_cast<std::size_t>(st.remaining));
-    assert(st.remaining > 0);
+  std::uint32_t slot = task_index_.find(dep.task);
+  if (slot == task_index_.kNone) {
+    slot = task_states_.acquire();
+    task_index_.insert(dep.task, slot);
+    TaskState& fresh = task_states_[slot];
+    fresh.key = dep.task;
+    fresh.remaining = def_.num_inputs(dep.task);
+    fresh.inputs.reset(static_cast<std::size_t>(fresh.remaining));
+    fresh.has_sums = false;
+    assert(fresh.remaining > 0);
   }
-  auto& slot = st.inputs.at(static_cast<std::size_t>(dep.input));
-  if (slot != nullptr) {
+  TaskState& st = task_states_[slot];
+  auto& input = st.inputs.at(static_cast<std::size_t>(dep.input));
+  if (input != nullptr) {
     assert(ft_ != nullptr && "input delivered twice");
     ++stats_.dup_inputs_dropped;
     return;
   }
-  slot = copy;
+  input = copy;
   // The latest release is the trigger: its chain gates the task.  The gap
   // between the producer chain's end and this release is communication
   // time when the input crossed the wire, runtime overhead otherwise.  A
@@ -229,16 +250,12 @@ void NodeRuntime::deliver_local(const Dep& dep, const DataCopyPtr& copy,
     st.has_sums = true;
   }
   if (--st.remaining == 0) {
-    std::vector<DataCopyPtr> inputs = std::move(st.inputs);
-    const TaskKey key = dep.task;
-    const PathSums pred = st.in_sums;
-    const des::Time rel_g = st.release_g;
-    task_states_.erase(it);
-    task_ready(key, std::move(inputs), pred, rel_g);
+    task_index_.erase(dep.task);
+    task_ready(slot);
   }
 }
 
-void NodeRuntime::task_completed(const TaskKey& key, RunContext& ctx,
+void NodeRuntime::task_completed(const TaskKey& key, const CopyList& outputs,
                                  const PathSums& chain) {
   if (ft_ != nullptr) {
     if (ft_->lineage.is_done(key)) {
@@ -252,10 +269,11 @@ void NodeRuntime::task_completed(const TaskKey& key, RunContext& ctx,
     deps_scratch_.clear();
     def_.successors(key, f, deps_scratch_);
     if (deps_scratch_.empty()) continue;
-    const DataCopyPtr& copy = ctx.output(f);
+    const DataCopyPtr& copy = outputs.at(static_cast<std::size_t>(f));
     assert(copy != nullptr && "task did not set an output with successors");
 
-    std::vector<std::int32_t> remote_ranks;
+    std::vector<std::int32_t>& remote_ranks = remote_scratch_;
+    remote_ranks.clear();
     double remote_prio = 0.0;
     for (const Dep& dep : deps_scratch_) {
       if (ft_ != nullptr && ft_->lineage.is_done(dep.task)) continue;
@@ -274,8 +292,7 @@ void NodeRuntime::task_completed(const TaskKey& key, RunContext& ctx,
     if (!remote_ranks.empty()) {
       std::sort(remote_ranks.begin(), remote_ranks.end());
       publish_remote(FlowKey{key, f}, copy, remote_prio,
-                     fabric_.local_clock(rank_), chain,
-                     std::move(remote_ranks));
+                     fabric_.local_clock(rank_), chain, remote_ranks);
     }
   }
 }
@@ -283,26 +300,33 @@ void NodeRuntime::task_completed(const TaskKey& key, RunContext& ctx,
 // ---------------------------------------------------------------------------
 // Multicast publication (producer or forwarding node)
 
-void NodeRuntime::publish_remote(const FlowKey& flow, const DataCopyPtr& copy,
-                                 double priority, des::Time root_ts,
-                                 const PathSums& path,
-                                 std::vector<std::int32_t> destinations) {
+void NodeRuntime::publish_remote(
+    const FlowKey& flow, const DataCopyPtr& copy, double priority,
+    des::Time root_ts, const PathSums& path,
+    const std::vector<std::int32_t>& destinations) {
   // Split the destination list into at most `multicast_arity` children;
   // each child receives a contiguous slice of the remainder to forward.
   const int arity = std::max(1, cfg_.multicast_arity);
   const auto n = static_cast<int>(destinations.size());
   const int children = std::min(arity, n);
 
-  auto [it, created] = outgoing_.try_emplace(flow);
-  OutgoingData& out = it->second;
-  if (created) {
+  std::uint32_t slot = outgoing_index_.find(flow);
+  if (slot == outgoing_index_.kNone) {
+    slot = outgoing_.acquire();
+    outgoing_index_.insert(flow, slot);
+    OutgoingData& out = outgoing_[slot];
+    out.owner = this;
+    out.flow = flow;
+    out.slot = slot;
     out.copy = copy;
     out.expected_gets = children;
+    out.gets_served = 0;
+    out.puts_inflight = 0;
   } else {
     // Re-publication (recovery re-announce): serve the extra children
     // from the existing entry.
     assert(ft_ != nullptr && "flow published twice");
-    out.expected_gets += children;
+    outgoing_[slot].expected_gets += children;
   }
   if (ft_ != nullptr) {
     // Keep every published flow re-servable: GET DATA after retirement
@@ -327,8 +351,11 @@ void NodeRuntime::publish_remote(const FlowKey& flow, const DataCopyPtr& copy,
     rec.real = copy->bytes != nullptr ? 1 : 0;
     rec.trace = new_ctx(flow);
     rec.path = path;
-    rec.subtree.assign(destinations.begin() + consumed,
-                       destinations.begin() + consumed + share);
+    if (share > 0) {
+      rec.subtree = subtrees_.take();
+      rec.subtree.assign(destinations.begin() + consumed,
+                         destinations.begin() + consumed + share);
+    }
     consumed += share;
     emit_activation(destinations[static_cast<std::size_t>(c)],
                     std::move(rec));
@@ -348,25 +375,29 @@ void NodeRuntime::emit_activation(int dst, wire::ActivationRecord&& rec) {
     // directly.  No aggregation.
     des::charge_current(cfg_.activate_pack_cost);
     rec.send_ts = fabric_.local_clock(rank_);
-    std::vector<wire::ActivationRecord> one;
-    one.push_back(std::move(rec));
-    send_activate_am(dst, one);
+    send_activate_am(dst, &rec, 1);
+    subtrees_.give(rec.subtree);
   } else {
-    outgoing_activations_[dst].push_back(std::move(rec));
+    auto [it, created] = outgoing_activations_.try_emplace(dst);
+    if (created) it->second = record_vectors_.take();
+    it->second.push_back(std::move(rec));
     wake_comm();
   }
 }
 
-void NodeRuntime::send_activate_am(
-    int dst, const std::vector<wire::ActivationRecord>& records) {
+void NodeRuntime::send_activate_am(int dst,
+                                   const wire::ActivationRecord* records,
+                                   std::size_t count) {
   if (eng_.trace_sink() != nullptr) {
-    for (const auto& r : records) {
-      des::emit_flow(eng_, "activate", r.trace.span_id, /*begin=*/true);
+    for (std::size_t i = 0; i < count; ++i) {
+      des::emit_flow(eng_, "activate", records[i].trace.span_id,
+                     /*begin=*/true);
     }
   }
-  const auto buf = wire::pack_activate(records);
-  const ce::Status st =
-      comm_.send_am(wire::kTagActivate, dst, buf.data(), buf.size());
+  wire::pack_activate(activate_buf_, records, count);
+  const ce::Status st = comm_.send_am(wire::kTagActivate, dst,
+                                      activate_buf_.data(),
+                                      activate_buf_.size());
   assert(st == ce::Status::Ok && "activation batch exceeds AM limit");
   (void)st;
   ++stats_.activate_ams;
@@ -375,27 +406,36 @@ void NodeRuntime::send_activate_am(
 bool NodeRuntime::flush_activations() {
   bool sent = false;
   for (auto& [dst, records] : outgoing_activations_) {
-    while (!records.empty()) {
+    std::size_t next = 0;
+    while (next < records.size()) {
       // Aggregate as many records as fit under the batch limit (§4.3).
-      std::vector<wire::ActivationRecord> batch;
+      const std::size_t first = next;
       std::size_t bytes = sizeof(std::uint16_t);
-      while (!records.empty() &&
-             (batch.empty() ||
-              bytes + wire::record_wire_size(records.front()) <=
+      while (next < records.size() &&
+             (next == first ||
+              bytes + wire::record_wire_size(records[next]) <=
                   cfg_.am_batch_bytes)) {
-        bytes += wire::record_wire_size(records.front());
+        bytes += wire::record_wire_size(records[next]);
         des::charge_current(cfg_.activate_pack_cost);
-        records.front().send_ts = fabric_.local_clock(rank_);
-        batch.push_back(std::move(records.front()));
-        records.erase(records.begin());
+        records[next].send_ts = fabric_.local_clock(rank_);
+        ++next;
       }
-      send_activate_am(dst, batch);
+      send_activate_am(dst, records.data() + first, next - first);
       sent = true;
     }
+    for (auto& rec : records) subtrees_.give(rec.subtree);
+    records.clear();
   }
   if (sent) {
-    std::erase_if(outgoing_activations_,
-                  [](const auto& kv) { return kv.second.empty(); });
+    for (auto it = outgoing_activations_.begin();
+         it != outgoing_activations_.end();) {
+      if (!it->second.empty()) {
+        ++it;
+        continue;
+      }
+      record_vectors_.give(it->second);
+      it = outgoing_activations_.erase(it);
+    }
   }
   return sent;
 }
@@ -405,8 +445,9 @@ bool NodeRuntime::flush_activations() {
 
 void NodeRuntime::on_activate(const void* msg, std::size_t size, int src) {
   (void)src;
-  auto records = wire::unpack_activate(msg, size);
-  for (auto& rec : records) {
+  const std::size_t count = wire::unpack_activate(msg, size, unpacked_);
+  for (std::size_t r = 0; r < count; ++r) {
+    const wire::ActivationRecord& rec = unpacked_[r];
     // One sub-span per aggregated record: this is the per-record work that
     // makes the ACTIVATE callback block progress on the MPI backend (§4.3).
     std::optional<des::ChargeSpan> span;
@@ -414,66 +455,81 @@ void NodeRuntime::on_activate(const void* msg, std::size_t size, int src) {
     const des::Time reached_ts = fabric_.local_clock(rank_);
     des::emit_flow(eng_, "activate", rec.trace.span_id, /*begin=*/false);
     des::charge_current(cfg_.activate_unpack_cost);
-    PendingFetch pf;
-    deps_scratch_.clear();
-    def_.successors(rec.flow.producer, rec.flow.flow, deps_scratch_);
+    // This node's consumers of the flow.  Until recovery re-homes a task,
+    // every home is the owner-computes rank and the graph can enumerate
+    // just this rank's consumers; after that, filter by lineage home.
+    std::vector<Dep>& local_deps = deps_scratch_;
+    local_deps.clear();
+    if (ft_ == nullptr || !ft_->lineage.rehomed()) {
+      def_.successors_on(rank_, rec.flow.producer, rec.flow.flow, local_deps);
+    } else {
+      def_.successors(rec.flow.producer, rec.flow.flow, local_deps);
+      std::erase_if(local_deps, [this](const Dep& dep) {
+        return owner_rank(dep.task) != rank_;
+      });
+    }
     double prio = rec.priority;
-    for (const Dep& dep : deps_scratch_) {
-      if (owner_rank(dep.task) != rank_) continue;
+    std::size_t kept = 0;
+    for (const Dep& dep : local_deps) {
       if (ft_ != nullptr && ft_->lineage.is_done(dep.task)) continue;
-      pf.local_deps.push_back(dep);
+      local_deps[kept++] = dep;
       prio = std::max(prio, def_.priority(dep.task));
     }
+    local_deps.resize(kept);
     // Iterating descendants is the expensive part of the callback (§4.3).
-    des::charge_current(static_cast<des::Duration>(pf.local_deps.size()) *
+    des::charge_current(static_cast<des::Duration>(local_deps.size()) *
                         cfg_.activate_per_dep_cost);
-    pf.fetch_priority = prio;
-    pf.reached_ts = reached_ts;
-    pf.activated_ts = fabric_.local_clock(rank_);
-    pf.record = std::move(rec);
+    const des::Time activated_ts = fabric_.local_clock(rank_);
 
-    if (pf.record.size == 0 && pf.record.subtree.empty()) {
+    if (rec.size == 0 && rec.subtree.empty()) {
       // Control-only dependency: nothing to fetch; release immediately.
       // The lifecycle ends at activation, so the latency endpoint and the
       // last e2e stage are the activation-processed stamp; the fetch and
       // transfer stages contribute zero samples, keeping stage counts and
       // the telescoping sum aligned with the e2e histogram.
-      const des::Time end_l = pf.activated_ts;
-      const des::Time end_g = clock_.to_global(rank_, end_l);
-      const des::Time hop_g =
-          clock_.to_global(pf.record.src_rank, pf.record.send_ts);
-      const int root = owner_rank(pf.record.flow.producer);
-      const des::Time root_g = clock_.to_global(root, pf.record.root_ts);
+      const des::Time end_g = clock_.to_global(rank_, activated_ts);
+      const des::Time hop_g = clock_.to_global(rec.src_rank, rec.send_ts);
+      const int root = owner_rank(rec.flow.producer);
+      const des::Time root_g = clock_.to_global(root, rec.root_ts);
       stats_.latency.add(static_cast<double>(end_g - hop_g),
                          static_cast<double>(end_g - root_g));
       ++stats_.data_arrivals;
-      record_stages(pf.record, clock_.to_global(rank_, pf.reached_ts),
-                    end_g, end_g, end_g, end_g);
+      record_stages(rec, clock_.to_global(rank_, reached_ts), end_g, end_g,
+                    end_g, end_g);
       const des::Time rel0 = charged_local_now();
-      des::charge_current(
-          static_cast<des::Duration>(pf.local_deps.size()) *
-          cfg_.release_per_dep_cost);
+      des::charge_current(static_cast<des::Duration>(local_deps.size()) *
+                          cfg_.release_per_dep_cost);
       stats_.stages[Stage::Release].add(
           static_cast<double>(charged_local_now() - rel0));
       auto empty = DataCopy::virt(0);
-      for (const Dep& dep : pf.local_deps) {
-        deliver_local(dep, empty, pf.record.path, /*remote=*/true, end_g);
+      for (const Dep& dep : local_deps) {
+        deliver_local(dep, empty, rec.path, /*remote=*/true, end_g);
       }
       continue;
     }
 
-    const FlowKey flow = pf.record.flow;
-    if (ft_ != nullptr && (pending_.count(flow) != 0 ||
-                           (pf.local_deps.empty() &&
-                            pf.record.subtree.empty()))) {
+    const FlowKey flow = rec.flow;
+    const bool in_flight = pending_index_.find(flow) != pending_index_.kNone;
+    if (ft_ != nullptr &&
+        (in_flight || (local_deps.empty() && rec.subtree.empty()))) {
       // Duplicate of an in-flight fetch, or a record whose consumers all
       // completed meanwhile — both arise only from recovery re-announces.
       ++stats_.stale_activations;
       continue;
     }
-    const auto [it, created] = pending_.emplace(flow, std::move(pf));
-    assert(created && "duplicate activation for flow");
-    (void)it;
+    assert(!in_flight && "duplicate activation for flow");
+    const std::uint32_t slot = pending_.acquire();
+    pending_index_.insert(flow, slot);
+    // Copy-assign into the recycled slot: its vectors keep their storage.
+    PendingFetch& pf = pending_[slot];
+    pf.record = rec;
+    pf.local_deps.assign(local_deps.begin(), local_deps.end());
+    pf.buffer.reset();
+    pf.fetch_priority = prio;
+    pf.requested = false;
+    pf.reached_ts = reached_ts;
+    pf.activated_ts = activated_ts;
+    pf.requested_ts = 0;
     fetch_queue_.push(FetchOrder{prio, fetch_seq_++, flow});
     if (inflight_fetches_ >= cfg_.max_inflight_fetches) {
       ++stats_.getdata_deferred;
@@ -488,12 +544,13 @@ bool NodeRuntime::issue_fetches() {
          !fetch_queue_.empty()) {
     const FetchOrder fo = fetch_queue_.top();
     fetch_queue_.pop();
-    auto it = pending_.find(fo.flow);
-    if (ft_ != nullptr && (it == pending_.end() || it->second.requested)) {
+    const std::uint32_t slot = pending_index_.find(fo.flow);
+    if (ft_ != nullptr &&
+        (slot == pending_index_.kNone || pending_[slot].requested)) {
       continue;  // entry purged (dead server) or superseded; skip
     }
-    assert(it != pending_.end());
-    PendingFetch& pf = it->second;
+    assert(slot != pending_index_.kNone);
+    PendingFetch& pf = pending_[slot];
     assert(!pf.requested);
     pf.requested = true;
     pf.buffer = pf.record.real != 0
@@ -528,11 +585,16 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
   const des::Time reached_ts = fabric_.local_clock(rank_);
   des::emit_flow(eng_, "getdata", g.trace.span_id, /*begin=*/false);
   des::charge_current(cfg_.getdata_handle_cost);
-  auto it = outgoing_.find(g.flow);
-  bool tracked = true;
-  DataCopyPtr serving;
-  if (it != outgoing_.end()) {
-    serving = it->second.copy;
+  // A tracked serve passes its outgoing entry as the put's l_cb_data: the
+  // entry holds the copy until its last put completes locally, then
+  // retires once every direct child has been served.
+  OutgoingData* out = nullptr;
+  const DataCopy* serving = nullptr;
+  const std::uint32_t slot = outgoing_index_.find(g.flow);
+  if (slot != outgoing_index_.kNone) {
+    out = &outgoing_[slot];
+    serving = out->copy.get();
+    ++out->puts_inflight;
   } else if (ft_ != nullptr) {
     // Retired (or never-published-here) flow requested during recovery:
     // serve it from the produced-data cache, outside the expected-gets
@@ -543,8 +605,7 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
       ft_->fail(RunStatus::ErrTileLost);
       return;
     }
-    serving = cit->second.copy;
-    tracked = false;
+    serving = cit->second.copy.get();
   } else {
     assert(false && "GET DATA for unknown flow");
     return;
@@ -561,28 +622,23 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
   arrived.put_ts = reached_ts;
   arrived.trace = new_ctx(g.flow);
   des::emit_flow(eng_, "data", arrived.trace.span_id, /*begin=*/true);
-  const FlowKey flow = g.flow;
-  // Keep the copy alive until the put drains locally; then retire the
-  // outgoing entry once every direct child has been served.  A cache-only
-  // serve (recovery path) carries no retirement bookkeeping.
-  DataCopyPtr keepalive = serving;
-  comm_.put(
-      lreg, 0, rreg, 0, serving->size, src,
-      [this, flow, keepalive, tracked](ce::CommEngine&, const ce::MemReg&,
-                                       std::ptrdiff_t, const ce::MemReg&,
-                                       std::ptrdiff_t, std::size_t, int,
-                                       void*) {
-        if (!tracked) return;
-        auto oit = outgoing_.find(flow);
-        if (oit == outgoing_.end()) {
-          assert(ft_ != nullptr && "put completion for retired flow");
-          return;
-        }
-        if (++oit->second.gets_served == oit->second.expected_gets) {
-          outgoing_.erase(oit);
-        }
-      },
-      nullptr, wire::kTagDataArrived, &arrived, sizeof arrived);
+  comm_.put(lreg, 0, rreg, 0, serving->size, src, &NodeRuntime::on_put_local,
+            out, wire::kTagDataArrived, &arrived, sizeof arrived);
+}
+
+void NodeRuntime::on_put_local(ce::CommEngine&, const ce::MemReg&,
+                               std::ptrdiff_t, const ce::MemReg&,
+                               std::ptrdiff_t, std::size_t, int,
+                               void* cb_data) {
+  if (cb_data == nullptr) return;  // cache-only serve: nothing to retire
+  OutgoingData& out = *static_cast<OutgoingData*>(cb_data);
+  --out.puts_inflight;
+  if (++out.gets_served >= out.expected_gets && out.puts_inflight == 0) {
+    NodeRuntime& self = *out.owner;
+    self.outgoing_index_.erase(out.flow);
+    out.copy.reset();
+    self.outgoing_.release(out.slot);
+  }
 }
 
 void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
@@ -593,8 +649,8 @@ void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
   const des::Time rel0 = charged_local_now();
   des::emit_flow(eng_, "data", d.trace.span_id, /*begin=*/false);
   des::charge_current(cfg_.data_release_cost);
-  auto it = pending_.find(d.flow);
-  if (it == pending_.end()) {
+  const std::uint32_t slot = pending_index_.erase(d.flow);
+  if (slot == pending_index_.kNone) {
     // Possible under recovery: the entry was purged (its server died and a
     // re-announce re-created the fetch elsewhere) or the same flow arrived
     // twice via a redundant re-announce.  Drop tolerantly.
@@ -602,8 +658,7 @@ void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
     ++stats_.stale_activations;
     return;
   }
-  PendingFetch pf = std::move(it->second);
-  pending_.erase(it);
+  PendingFetch& pf = pending_[slot];
   --inflight_fetches_;
   ++stats_.data_arrivals;
 
@@ -637,9 +692,10 @@ void NodeRuntime::on_data_arrived(const void* msg, std::size_t size,
   if (!pf.record.subtree.empty()) {
     ++stats_.forwards;
     publish_remote(pf.record.flow, pf.buffer, pf.record.priority,
-                   pf.record.root_ts, pf.record.path,
-                   std::move(pf.record.subtree));
+                   pf.record.root_ts, pf.record.path, pf.record.subtree);
   }
+  pf.buffer.reset();
+  pending_.release(slot);
   issue_fetches();
 }
 
@@ -705,17 +761,25 @@ void NodeRuntime::purge_peer(int dead_rank) {
   if (dead_) return;
   // Activations queued to the corpse will never be wanted again: the
   // coordinator rearms every not-Done task homed there.
-  outgoing_activations_.erase(dead_rank);
+  const auto ait = outgoing_activations_.find(dead_rank);
+  if (ait != outgoing_activations_.end()) {
+    for (auto& rec : ait->second) subtrees_.give(rec.subtree);
+    record_vectors_.give(ait->second);
+    outgoing_activations_.erase(ait);
+  }
   // Fetches served by the corpse can never complete; the coordinator
   // re-announces the data from an alive holder (or rearms the producer).
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->second.record.src_rank == dead_rank) {
-      if (it->second.requested) --inflight_fetches_;
-      ++stats_.fetches_abandoned;
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
+  std::vector<FlowKey> abandoned;
+  pending_index_.for_each([&](const FlowKey& flow, std::uint32_t slot) {
+    if (pending_[slot].record.src_rank == dead_rank) abandoned.push_back(flow);
+  });
+  for (const FlowKey& flow : abandoned) {
+    const std::uint32_t slot = pending_index_.erase(flow);
+    PendingFetch& pf = pending_[slot];
+    if (pf.requested) --inflight_fetches_;
+    ++stats_.fetches_abandoned;
+    pf.buffer.reset();
+    pending_.release(slot);
   }
   // Stale fetch_queue_ orders for erased flows are skipped by
   // issue_fetches; freed in-flight slots can admit queued fetches now.
@@ -724,12 +788,8 @@ void NodeRuntime::purge_peer(int dead_rank) {
 
 void NodeRuntime::inject_source(const TaskKey& key) {
   if (dead_) return;
-  const des::Time rel_g = charged_global_now();
-  PathSums pred;
-  // The whole wait until re-injection is recovery (runtime) overhead;
-  // pred.total() == rel_g keeps the critical-path invariant.
-  pred.overhead = rel_g;
-  task_ready(key, {}, pred, rel_g);
+  // The whole wait until re-injection is recovery (runtime) overhead.
+  source_ready(key, charged_global_now());
 }
 
 bool NodeRuntime::reannounce(const FlowKey& flow, int dst) {
@@ -773,9 +833,10 @@ bool NodeRuntime::input_unfilled(const TaskKey& task, int input) const {
   if (ft_ != nullptr && ft_->lineage.phase(task) != TaskPhase::Pending) {
     return false;  // Ready/Done: the task holds (or held) all its inputs
   }
-  const auto it = task_states_.find(task);
-  if (it == task_states_.end()) return true;
-  return it->second.inputs.at(static_cast<std::size_t>(input)) == nullptr;
+  const std::uint32_t slot = task_index_.find(task);
+  if (slot == task_index_.kNone) return true;
+  return task_states_[slot].inputs.at(static_cast<std::size_t>(input)) ==
+         nullptr;
 }
 
 }  // namespace amt

@@ -21,8 +21,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <memory_resource>
 #include <queue>
 #include <unordered_map>
 #include <vector>
@@ -30,10 +30,12 @@
 #include "ce/comm_engine.hpp"
 #include "des/poll_loop.hpp"
 #include "des/sim_thread.hpp"
+#include "des/slab.hpp"
 #include "net/clock_sync.hpp"
 #include "net/fabric.hpp"
 #include "amt/config.hpp"
 #include "amt/lineage.hpp"
+#include "amt/pools.hpp"
 #include "amt/task_graph.hpp"
 #include "amt/task_key.hpp"
 #include "amt/wire.hpp"
@@ -63,7 +65,7 @@ class NodeRuntime {
   /// Timeline-probe introspection: tasks released but not yet dispatched,
   /// announced flows still awaiting arrival, and GET DATAs on the wire.
   std::size_t ready_tasks() const { return ready_.size(); }
-  std::size_t pending_fetches() const { return pending_.size(); }
+  std::size_t pending_fetches() const { return pending_index_.size(); }
   int inflight_fetches() const { return inflight_fetches_; }
 
   /// Aggregate busy time over worker threads (for utilization reports).
@@ -96,34 +98,40 @@ class NodeRuntime {
   void note_reexecuted() { ++stats_.tasks_reexecuted; }
 
  private:
+  /// A task from its first input delivery (or source release) until its
+  /// body completes: it gathers inputs, then waits in the ready queue,
+  /// then runs, all in one slot.
   struct TaskState {
+    TaskKey key;
     int remaining = 0;
-    std::vector<DataCopyPtr> inputs;
+    CopyList inputs;
     // Critical-path bookkeeping: the chain sums of the latest delivery so
     // far (the trigger input — the one whose release lets the task run).
     PathSums in_sums;
-    des::Time release_g = 0;
+    des::Time release_g = 0;  ///< latest input release (global)
     bool has_sums = false;
   };
-  struct ReadyTask {
+  /// Heap entry of the ready queue; the task itself waits in its slot.
+  struct ReadyRef {
     double priority = 0.0;
     std::uint64_t seq = 0;  ///< FIFO among equal priorities
-    TaskKey key;
-    std::vector<DataCopyPtr> inputs;
-    PathSums pred_sums;      ///< chain sums up to the trigger release
-    des::Time release_g = 0; ///< when the last input was released (global)
-  };
-  struct ReadyOrder {
-    bool operator()(const ReadyTask& a, const ReadyTask& b) const {
-      if (a.priority != b.priority) return a.priority < b.priority;
-      return a.seq > b.seq;
+    std::uint32_t slot = 0;
+    bool operator<(const ReadyRef& o) const {
+      if (priority != o.priority) return priority < o.priority;
+      return seq > o.seq;
     }
   };
-  /// Data held for remote consumers (origin side of puts).
+  /// Data held for remote consumers (origin side of puts).  Its address
+  /// is the put's l_cb_data, so it stays in its slot until its last put
+  /// completed locally.
   struct OutgoingData {
+    NodeRuntime* owner = nullptr;
+    FlowKey flow;
+    std::uint32_t slot = 0;
     DataCopyPtr copy;
     int expected_gets = 0;
     int gets_served = 0;
+    int puts_inflight = 0;
   };
   /// A flow announced by ACTIVATE, awaiting fetch + arrival.
   struct PendingFetch {
@@ -147,11 +155,14 @@ class NodeRuntime {
   };
 
   // --- scheduling -----------------------------------------------------
-  void task_ready(const TaskKey& key, std::vector<DataCopyPtr> inputs,
-                  const PathSums& pred, des::Time release_g);
+  /// Queues the task in `slot`, whose inputs have all arrived.
+  void task_ready(std::uint32_t slot);
+  /// Readies a zero-input task released at `rel_g`.
+  void source_ready(const TaskKey& key, des::Time rel_g);
+  void release_task(std::uint32_t slot);
   void try_dispatch();
-  void run_task(ReadyTask&& task, int worker_idx);
-  void task_completed(const TaskKey& key, RunContext& ctx,
+  void run_task(int worker_idx);
+  void task_completed(const TaskKey& key, const CopyList& outputs,
                       const PathSums& chain);
   void deliver_local(const Dep& dep, const DataCopyPtr& copy,
                      const PathSums& prod, bool remote, des::Time release_g);
@@ -166,9 +177,15 @@ class NodeRuntime {
   void publish_remote(const FlowKey& flow, const DataCopyPtr& copy,
                       double priority, des::Time root_ts,
                       const PathSums& path,
-                      std::vector<std::int32_t> destinations);
+                      const std::vector<std::int32_t>& destinations);
   void emit_activation(int dst, wire::ActivationRecord&& rec);
-  void send_activate_am(int dst, const std::vector<wire::ActivationRecord>&);
+  void send_activate_am(int dst, const wire::ActivationRecord* records,
+                        std::size_t count);
+  /// Origin-side put completion (the put's l_cb; `cb_data` is the
+  /// OutgoingData entry, null for a cache-only serve).
+  static void on_put_local(ce::CommEngine&, const ce::MemReg&,
+                           std::ptrdiff_t, const ce::MemReg&, std::ptrdiff_t,
+                           std::size_t, int, void* cb_data);
   void on_activate(const void* msg, std::size_t size, int src);
   void on_getdata(const void* msg, std::size_t size, int src);
   void on_data_arrived(const void* msg, std::size_t size, int src);
@@ -203,19 +220,35 @@ class NodeRuntime {
   const net::GlobalClock& clock_;
   NodeStats stats_;
 
-  // Scheduler state.
-  std::unordered_map<TaskKey, TaskState, TaskKeyHash> task_states_;
-  std::priority_queue<ReadyTask, std::vector<ReadyTask>, ReadyOrder> ready_;
+  // Scheduler state.  Task states and pending fetches live in slabs found
+  // through flat indexes (neither is ever iterated in an order that
+  // reaches the simulation); the index holds a task until its inputs are
+  // complete, the ready heap then holds small entries naming its slot.
+  FlatIndex<TaskKey, TaskKeyHash> task_index_;
+  des::Slab<TaskState> task_states_;
+  std::priority_queue<ReadyRef> ready_;
   std::vector<std::unique_ptr<des::SimThread>> workers_;
+  /// Each worker's running task slot: the dispatch closure carries only
+  /// the worker index and stays inline.
+  std::vector<std::uint32_t> running_;
+  CopyList outputs_;  ///< what the running task body publishes
   std::vector<int> idle_workers_;
   std::uint64_t ready_seq_ = 0;
 
   // Communication state.
-  std::unordered_map<FlowKey, OutgoingData, FlowKeyHash> outgoing_;
-  std::unordered_map<FlowKey, PendingFetch, FlowKeyHash> pending_;
+  FlatIndex<FlowKey, FlowKeyHash> outgoing_index_;
+  des::Slab<OutgoingData> outgoing_;
+  FlatIndex<FlowKey, FlowKeyHash> pending_index_;
+  des::Slab<PendingFetch> pending_;
   std::priority_queue<FetchOrder> fetch_queue_;
-  std::unordered_map<int, std::vector<wire::ActivationRecord>>
-      outgoing_activations_;
+  // The iteration order of this map is the ACTIVATE send order, so it
+  // stays a std::unordered_map; the pool resource recycles its nodes and
+  // `record_vectors_` the vectors they hold.
+  std::pmr::unsynchronized_pool_resource activation_nodes_;
+  std::pmr::unordered_map<int, std::vector<wire::ActivationRecord>>
+      outgoing_activations_{&activation_nodes_};
+  VecPool<wire::ActivationRecord> record_vectors_;
+  VecPool<std::int32_t> subtrees_;
   std::uint64_t fetch_seq_ = 0;
   int inflight_fetches_ = 0;
   std::uint64_t span_seq_ = 0;  ///< per-node trace span allocator
@@ -225,6 +258,9 @@ class NodeRuntime {
 
   // Scratch to avoid per-call allocation in hot paths.
   std::vector<Dep> deps_scratch_;
+  std::vector<std::int32_t> remote_scratch_;
+  std::vector<wire::ActivationRecord> unpacked_;
+  std::vector<std::byte> activate_buf_;
 
   // --- fault tolerance ---------------------------------------------------
   FaultState* ft_ = nullptr;  ///< null = tolerance off (exact legacy paths)

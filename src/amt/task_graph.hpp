@@ -8,9 +8,11 @@
 // once — only the execution frontier does.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "des/time.hpp"
@@ -39,12 +41,45 @@ struct DataCopy {
 };
 using DataCopyPtr = std::shared_ptr<DataCopy>;
 
+/// The data copies of one task's inputs or outputs.  Up to kInline live
+/// inline (every TLR Cholesky task fits), so a task's inputs and outputs
+/// cost no heap allocation; longer lists spill to one heap array.
+class CopyList {
+ public:
+  static constexpr std::size_t kInline = 5;
+
+  /// Resizes to `n` null entries.
+  void reset(std::size_t n) {
+    for (auto& c : inline_) c.reset();
+    spill_ = n > kInline ? std::make_unique<DataCopyPtr[]>(n) : nullptr;
+    n_ = n;
+  }
+  std::size_t size() const { return n_; }
+
+  DataCopyPtr& at(std::size_t i) {
+    check(i);
+    return n_ > kInline ? spill_[i] : inline_[i];
+  }
+  const DataCopyPtr& at(std::size_t i) const {
+    check(i);
+    return n_ > kInline ? spill_[i] : inline_[i];
+  }
+
+ private:
+  void check(std::size_t i) const {
+    if (i >= n_) throw std::out_of_range("CopyList index");
+  }
+
+  std::array<DataCopyPtr, kInline> inline_;
+  std::unique_ptr<DataCopyPtr[]> spill_;
+  std::size_t n_ = 0;
+};
+
 /// Handed to a task body: read inputs, publish outputs.
 class RunContext {
  public:
-  explicit RunContext(std::vector<DataCopyPtr> inputs, int num_outputs)
-      : inputs_(std::move(inputs)),
-        outputs_(static_cast<std::size_t>(num_outputs)) {}
+  RunContext(CopyList& inputs, CopyList& outputs)
+      : inputs_(inputs), outputs_(outputs) {}
 
   const DataCopyPtr& input(int idx) const {
     return inputs_.at(static_cast<std::size_t>(idx));
@@ -61,8 +96,8 @@ class RunContext {
   }
 
  private:
-  std::vector<DataCopyPtr> inputs_;
-  std::vector<DataCopyPtr> outputs_;
+  CopyList& inputs_;
+  CopyList& outputs_;
 };
 
 /// The application-provided, immutable graph definition.  One instance is
@@ -84,6 +119,21 @@ class TaskGraphDef {
   /// Appends the consumers of output `flow` of `t` to `out`.
   virtual void successors(const TaskKey& t, int flow,
                           std::vector<Dep>& out) const = 0;
+
+  /// Appends the consumers of output `flow` of `t` that `rank` owns, in
+  /// successors() order.  A receiving node needs only its own consumers;
+  /// a graph whose ownership is regular overrides this to skip the rest
+  /// instead of enumerating and filtering them.
+  virtual void successors_on(int rank, const TaskKey& t, int flow,
+                             std::vector<Dep>& out) const {
+    const std::size_t first = out.size();
+    successors(t, flow, out);
+    std::size_t kept = first;
+    for (std::size_t i = first; i < out.size(); ++i) {
+      if (rank_of(out[i].task) == rank) out[kept++] = out[i];
+    }
+    out.resize(kept);
+  }
 
   /// Scheduling priority; larger runs earlier, and data for
   /// higher-priority consumers is fetched first.

@@ -55,11 +55,10 @@ struct ActivationRecord {
 namespace detail {
 
 template <typename T>
-void append(std::vector<std::byte>& buf, const T& v) {
+void write(std::byte*& p, const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const std::size_t off = buf.size();
-  buf.resize(off + sizeof v);
-  std::memcpy(buf.data() + off, &v, sizeof v);
+  std::memcpy(p, &v, sizeof v);
+  p += sizeof v;
 }
 
 template <typename T>
@@ -80,40 +79,48 @@ inline std::size_t record_wire_size(const ActivationRecord& r) {
          sizeof(std::uint16_t) + r.subtree.size() * sizeof(std::int32_t);
 }
 
-inline void pack_record(std::vector<std::byte>& buf,
-                        const ActivationRecord& r) {
-  detail::append(buf, r.flow);
-  detail::append(buf, r.size);
-  detail::append(buf, r.src_rank);
-  detail::append(buf, r.priority);
-  detail::append(buf, r.root_ts);
-  detail::append(buf, r.enqueue_ts);
-  detail::append(buf, r.send_ts);
-  detail::append(buf, r.real);
-  detail::append(buf, r.trace);
-  detail::append(buf, r.path);
-  detail::append(buf, static_cast<std::uint16_t>(r.subtree.size()));
-  for (const auto rank : r.subtree) detail::append(buf, rank);
+/// Packs `count` records preceded by a count header into `buf`, replacing
+/// its contents.  The buffer is sized once, so a reused one allocates only
+/// when it must grow.
+inline void pack_activate(std::vector<std::byte>& buf,
+                          const ActivationRecord* records,
+                          std::size_t count) {
+  std::size_t bytes = sizeof(std::uint16_t);
+  for (std::size_t i = 0; i < count; ++i) {
+    bytes += record_wire_size(records[i]);
+  }
+  buf.resize(bytes);
+  std::byte* p = buf.data();
+  detail::write(p, static_cast<std::uint16_t>(count));
+  for (std::size_t i = 0; i < count; ++i) {
+    const ActivationRecord& r = records[i];
+    detail::write(p, r.flow);
+    detail::write(p, r.size);
+    detail::write(p, r.src_rank);
+    detail::write(p, r.priority);
+    detail::write(p, r.root_ts);
+    detail::write(p, r.enqueue_ts);
+    detail::write(p, r.send_ts);
+    detail::write(p, r.real);
+    detail::write(p, r.trace);
+    detail::write(p, r.path);
+    detail::write(p, static_cast<std::uint16_t>(r.subtree.size()));
+    for (const auto rank : r.subtree) detail::write(p, rank);
+  }
+  assert(p == buf.data() + bytes);
 }
 
-/// Packs `count` records preceded by a count header.
-inline std::vector<std::byte> pack_activate(
-    const std::vector<ActivationRecord>& records) {
-  std::vector<std::byte> buf;
-  detail::append(buf, static_cast<std::uint16_t>(records.size()));
-  for (const auto& r : records) pack_record(buf, r);
-  return buf;
-}
-
-inline std::vector<ActivationRecord> unpack_activate(const void* msg,
-                                                     std::size_t size) {
+/// Unpacks an ACTIVATE body into the first records of `out` and returns
+/// how many there are.  `out` never shrinks, so its records (and their
+/// subtree vectors) keep their storage from one message to the next.
+inline std::size_t unpack_activate(const void* msg, std::size_t size,
+                                   std::vector<ActivationRecord>& out) {
   const auto* p = static_cast<const std::byte*>(msg);
   const std::byte* const end = p + size;
   const auto count = detail::read<std::uint16_t>(p);
-  std::vector<ActivationRecord> out;
-  out.reserve(count);
+  if (out.size() < count) out.resize(count);
   for (std::uint16_t c = 0; c < count; ++c) {
-    ActivationRecord r;
+    ActivationRecord& r = out[c];
     r.flow = detail::read<FlowKey>(p);
     r.size = detail::read<std::uint64_t>(p);
     r.src_rank = detail::read<std::int32_t>(p);
@@ -127,11 +134,10 @@ inline std::vector<ActivationRecord> unpack_activate(const void* msg,
     const auto n = detail::read<std::uint16_t>(p);
     r.subtree.resize(n);
     for (auto& rank : r.subtree) rank = detail::read<std::int32_t>(p);
-    out.push_back(std::move(r));
   }
   assert(p <= end);
   (void)end;
-  return out;
+  return count;
 }
 
 struct GetDataMsg {
@@ -147,13 +153,6 @@ struct DataArrivedMsg {
   des::Time put_ts = 0;     ///< holder's put-issue time (local clock)
   TraceCtx trace;           ///< causal identity of the data leg
 };
-
-template <typename T>
-std::vector<std::byte> pack_pod(const T& v) {
-  std::vector<std::byte> buf;
-  detail::append(buf, v);
-  return buf;
-}
 
 template <typename T>
 T unpack_pod(const void* msg, std::size_t size) {

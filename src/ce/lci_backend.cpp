@@ -27,27 +27,8 @@ LciBackend::LciBackend(mlci::Device& device, des::Engine& engine,
       next_data_tag_(kDataTagBase) {
   dev_.set_am_handler(
       [this](mlci::Request&& req) { on_am_arrival(std::move(req)); });
-  dev_.set_put_handler([this](mlci::Request&& req) {
-    // Progress-thread context: remote completion of a native put (§7
-    // future work).  The immediate data is a PutHandshake header plus
-    // the remote-callback bytes.
-    assert(req.payload != nullptr);
-    const auto v =
-        HandshakeView::parse(req.payload->data(), req.payload->size());
-    DataHandle done;
-    done.kind = DataHandle::Kind::RemoteDone;
-    done.r_tag = v.hdr.r_tag;
-    if (v.hdr.r_cb_size > 0) {
-      done.r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
-    }
-    done.origin = req.peer;
-    done.flow_id = put_flow_id(req.peer, v.hdr.data_tag);
-    done.size = req.size;
-    done.started = eng_.now();
-    done.queued = eng_.now();
-    data_fifo_.push_back(std::move(done));
-    wake_comm_thread();
-  });
+  dev_.set_put_handler(
+      [this](mlci::Request&& req) { on_native_put(std::move(req)); });
 
   if (cfg_.progress_thread) {
     // §5.3.1: a thread dedicated to LCI_progress, decoupling progress on
@@ -84,6 +65,7 @@ LciBackend::~LciBackend() {
   }
   dev_.set_event_notifier(nullptr);
   dev_.set_am_handler(nullptr);
+  dev_.set_put_handler(nullptr);
 }
 
 int LciBackend::size() const { return dev_.num_ranks(); }
@@ -151,7 +133,60 @@ Status LciBackend::send_am(Tag tag, int remote, const void* msg,
 }
 
 // ---------------------------------------------------------------------------
+// Data handles
+
+LciBackend::DataHandle* LciBackend::acquire_handle() {
+  const std::uint32_t slot = handles_.acquire();
+  DataHandle* h = &handles_[slot];
+  h->slot = slot;
+  return h;
+}
+
+void LciBackend::release_handle(DataHandle* h) {
+  h->l_cb = nullptr;
+  h->r_cb_data.clear();  // keeps its capacity for the next occupant
+  h->in_recv = false;
+  handles_.release(h->slot);
+}
+
+LciBackend::DataHandle* LciBackend::local_done_handle(
+    const MemReg& lreg, std::ptrdiff_t ldispl, const MemReg& rreg,
+    std::ptrdiff_t rdispl, std::size_t size, int remote,
+    OnesidedCallback&& l_cb, void* l_cb_data, des::Time started) {
+  DataHandle* h = acquire_handle();
+  h->kind = DataHandle::Kind::LocalDone;
+  h->l_cb = std::move(l_cb);
+  h->l_cb_data = l_cb_data;
+  h->lreg = lreg;
+  h->rreg = rreg;
+  h->ldispl = ldispl;
+  h->rdispl = rdispl;
+  h->size = size;
+  h->remote = remote;
+  h->started = started;
+  return h;
+}
+
+void LciBackend::push_data_handle(DataHandle* h) {
+  h->queued = eng_.now();
+  data_fifo_.push_back(h);
+  wake_comm_thread();
+}
+
+// ---------------------------------------------------------------------------
 // put
+
+void LciBackend::send_handshake(int remote) {
+  if (send_wire_am(remote, kLciHandshakeTag, handshake_buf_.data(),
+                   handshake_buf_.size()) != mlci::Status::Ok) {
+    PendingSend ps;
+    ps.remote = remote;
+    ps.wire_tag = kLciHandshakeTag;
+    ps.body = handshake_buf_;
+    retry_sends_.push_back(std::move(ps));
+    wake_comm_thread();
+  }
+}
 
 int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
                     const MemReg& rreg, std::ptrdiff_t rdispl,
@@ -189,18 +224,12 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
         rreg.base == nullptr
             ? nullptr
             : static_cast<std::byte*>(rreg.base) + rdispl);
-    pack_handshake(ds.imm, h, r_cb_data, nullptr, 0);
-    ds.local_done.kind = DataHandle::Kind::LocalDone;
-    ds.local_done.l_cb = std::move(l_cb);
-    ds.local_done.l_cb_data = l_cb_data;
-    ds.local_done.lreg = lreg;
-    ds.local_done.rreg = rreg;
-    ds.local_done.ldispl = ldispl;
-    ds.local_done.rdispl = rdispl;
-    ds.local_done.size = size;
-    ds.local_done.remote = remote;
-    ds.local_done.started = put_start;
-    if (!start_data_send(ds)) {
+    pack_handshake(handshake_buf_, h, r_cb_data, nullptr, 0);
+    ds.local_done = local_done_handle(lreg, ldispl, rreg, rdispl, size,
+                                      remote, std::move(l_cb), l_cb_data,
+                                      put_start);
+    if (!start_data_send(ds, handshake_buf_.data(), handshake_buf_.size())) {
+      ds.imm = handshake_buf_;
       retry_data_sends_.push_back(std::move(ds));
       wake_comm_thread();
     }
@@ -216,17 +245,8 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
     // §5.3.3: small data rides inside the handshake; no Direct transfer,
     // and the local completion callback runs immediately.
     h.flags |= kHandshakeEagerData;
-    std::vector<std::byte> body;
-    pack_handshake(body, h, r_cb_data, src, size);
-    if (send_wire_am(remote, kLciHandshakeTag, body.data(), body.size()) !=
-        mlci::Status::Ok) {
-      PendingSend ps;
-      ps.remote = remote;
-      ps.wire_tag = kLciHandshakeTag;
-      ps.body = body;
-      retry_sends_.push_back(std::move(ps));
-      wake_comm_thread();
-    }
+    pack_handshake(handshake_buf_, h, r_cb_data, src, size);
+    send_handshake(remote);
     ++stats_.eager_puts;
     ++stats_.puts_completed_local;
     if (put_local_ns_ != nullptr) {
@@ -240,69 +260,49 @@ int LciBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
     return 0;
   }
 
-  std::vector<std::byte> body;
-  pack_handshake(body, h, r_cb_data, nullptr, 0);
-  if (send_wire_am(remote, kLciHandshakeTag, body.data(), body.size()) !=
-      mlci::Status::Ok) {
-    PendingSend ps;
-    ps.remote = remote;
-    ps.wire_tag = kLciHandshakeTag;
-    ps.body = body;
-    retry_sends_.push_back(std::move(ps));
-    wake_comm_thread();
-  }
+  pack_handshake(handshake_buf_, h, r_cb_data, nullptr, 0);
+  send_handshake(remote);
 
   PendingDataSend ds;
   ds.remote = remote;
   ds.data_tag = data_tag;
   ds.src = src;
   ds.size = size;
-  ds.local_done.kind = DataHandle::Kind::LocalDone;
-  ds.local_done.l_cb = std::move(l_cb);
-  ds.local_done.l_cb_data = l_cb_data;
-  ds.local_done.lreg = lreg;
-  ds.local_done.rreg = rreg;
-  ds.local_done.ldispl = ldispl;
-  ds.local_done.rdispl = rdispl;
-  ds.local_done.size = size;
-  ds.local_done.remote = remote;
-  ds.local_done.started = put_start;
-  if (!start_data_send(ds)) {
+  ds.local_done = local_done_handle(lreg, ldispl, rreg, rdispl, size, remote,
+                                    std::move(l_cb), l_cb_data, put_start);
+  if (!start_data_send(ds, nullptr, 0)) {
     retry_data_sends_.push_back(std::move(ds));
     wake_comm_thread();
   }
   return 0;
 }
 
-bool LciBackend::start_data_send(const PendingDataSend& ps) {
-  if (ps.native) {
-    const mlci::Status st = dev_.putd(
-        ps.remote, ps.data_tag, ps.src, ps.size, ps.remote_base,
-        mlci::Comp::handler(
-            [this, h = ps.local_done](mlci::Request&&) mutable {
-              --outstanding_direct_;
-              h.queued = eng_.now();
-              data_fifo_.push_back(std::move(h));
-              wake_comm_thread();
-            }),
-        ps.imm.data(), ps.imm.size());
-    if (st != mlci::Status::Ok) return false;
-    ++outstanding_direct_;
-    return true;
-  }
-  const mlci::Status st = dev_.sendd(
-      ps.remote, ps.data_tag, ps.src, ps.size,
-      mlci::Comp::handler([this, h = ps.local_done](mlci::Request&&) mutable {
-        // Progress-thread context: fill the callback handle and push it to
-        // the bulk-data FIFO for the communication thread (§5.3.3).
-        --outstanding_direct_;
-        h.queued = eng_.now();
-        data_fifo_.push_back(std::move(h));
-        wake_comm_thread();
-      }));
+bool LciBackend::start_data_send(const PendingDataSend& ps, const void* imm,
+                                 std::size_t imm_size) {
+  // Local completion runs on_send_done on the progress thread: it pushes
+  // the handle to the bulk-data FIFO for the communication thread
+  // (§5.3.3).
+  const mlci::Comp comp = mlci::Comp::handler(&LciBackend::on_send_done, this);
+  const mlci::Status st =
+      ps.native ? dev_.putd(ps.remote, ps.data_tag, ps.src, ps.size,
+                            ps.remote_base, comp, imm, imm_size, ps.local_done)
+                : dev_.sendd(ps.remote, ps.data_tag, ps.src, ps.size, comp,
+                             ps.local_done);
   if (st != mlci::Status::Ok) return false;
   ++outstanding_direct_;
   return true;
+}
+
+void LciBackend::on_send_done(void* self, mlci::Request&& req) {
+  auto& be = *static_cast<LciBackend*>(self);
+  --be.outstanding_direct_;
+  be.push_data_handle(static_cast<DataHandle*>(req.user_context));
+}
+
+void LciBackend::on_recv_done(void* self, mlci::Request&& req) {
+  auto* h = static_cast<DataHandle*>(req.user_context);
+  h->in_recv = false;
+  static_cast<LciBackend*>(self)->push_data_handle(h);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,20 +325,35 @@ void LciBackend::on_am_arrival(mlci::Request&& req) {
   wake_comm_thread();
 }
 
+void LciBackend::on_native_put(mlci::Request&& req) {
+  // Remote completion of a native put (§7 future work).  The immediate
+  // data is a PutHandshake header plus the remote-callback bytes.
+  assert(req.payload != nullptr);
+  const auto v =
+      HandshakeView::parse(req.payload->data(), req.payload->size());
+  DataHandle* done = acquire_handle();
+  done->kind = DataHandle::Kind::RemoteDone;
+  done->r_tag = v.hdr.r_tag;
+  done->r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
+  done->origin = req.peer;
+  done->flow_id = put_flow_id(req.peer, v.hdr.data_tag);
+  done->size = req.size;
+  done->started = eng_.now();
+  push_data_handle(done);
+}
+
 void LciBackend::handle_handshake(mlci::Request&& req) {
   assert(req.payload != nullptr && "handshake must carry a body");
   const auto v = HandshakeView::parse(req.payload->data(),
                                       req.payload->size());
-  DataHandle done;
-  done.kind = DataHandle::Kind::RemoteDone;
-  done.r_tag = v.hdr.r_tag;
-  if (v.hdr.r_cb_size > 0) {
-    done.r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
-  }
-  done.origin = req.peer;
-  done.flow_id = put_flow_id(req.peer, v.hdr.data_tag);
-  done.size = static_cast<std::size_t>(v.hdr.size);
-  done.started = eng_.now();
+  DataHandle* done = acquire_handle();
+  done->kind = DataHandle::Kind::RemoteDone;
+  done->r_tag = v.hdr.r_tag;
+  done->r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
+  done->origin = req.peer;
+  done->flow_id = put_flow_id(req.peer, v.hdr.data_tag);
+  done->size = static_cast<std::size_t>(v.hdr.size);
+  done->started = eng_.now();
 
   std::byte* dst = nullptr;
   if (v.hdr.rbase != 0) {
@@ -349,9 +364,7 @@ void LciBackend::handle_handshake(mlci::Request&& req) {
     if (dst != nullptr && v.eager_data != nullptr) {
       std::memcpy(dst, v.eager_data, static_cast<std::size_t>(v.hdr.size));
     }
-    done.queued = eng_.now();
-    data_fifo_.push_back(std::move(done));
-    wake_comm_thread();
+    push_data_handle(done);
     return;
   }
 
@@ -360,7 +373,7 @@ void LciBackend::handle_handshake(mlci::Request&& req) {
   pr.data_tag = v.hdr.data_tag;
   pr.dst = dst;
   pr.size = static_cast<std::size_t>(v.hdr.size);
-  pr.remote_done = std::move(done);
+  pr.remote_done = done;
   if (!post_data_recv(pr)) {
     // §5.3.3: cannot retry on the progress thread (recursion hazard);
     // delegate the receive to the communication thread.
@@ -373,47 +386,47 @@ void LciBackend::handle_handshake(mlci::Request&& req) {
 bool LciBackend::post_data_recv(const PendingRecv& pr) {
   const mlci::Status st = dev_.recvd(
       pr.src, pr.data_tag, pr.dst, pr.size,
-      mlci::Comp::handler(
-          [this, h = pr.remote_done](mlci::Request&&) mutable {
-            h.queued = eng_.now();
-            data_fifo_.push_back(std::move(h));
-            wake_comm_thread();
-          }));
-  return st == mlci::Status::Ok;
+      mlci::Comp::handler(&LciBackend::on_recv_done, this), pr.remote_done);
+  if (st != mlci::Status::Ok) return false;
+  pr.remote_done->in_recv = true;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Communication-thread side
 
-void LciBackend::dispatch_data_handle(DataHandle&& h) {
+void LciBackend::dispatch_data_handle(DataHandle* h) {
   des::charge_current(cfg_.dispatch_cost);
   if (data_queue_ns_ != nullptr) {
-    data_queue_ns_->add(static_cast<double>(eng_.now() - h.queued));
+    data_queue_ns_->add(static_cast<double>(eng_.now() - h->queued));
   }
-  if (h.kind == DataHandle::Kind::LocalDone) {
+  // The handle stays taken while its callback runs (a callback may put,
+  // and must not be handed this slot), and is recycled after.
+  if (h->kind == DataHandle::Kind::LocalDone) {
     ++stats_.puts_completed_local;
     if (put_local_ns_ != nullptr) {
-      put_local_ns_->add(static_cast<double>(eng_.now() - h.started));
+      put_local_ns_->add(static_cast<double>(eng_.now() - h->started));
     }
-    if (h.l_cb) {
+    if (h->l_cb) {
       std::optional<des::ChargeSpan> span;
       if (eng_.trace_sink() != nullptr) span.emplace(eng_, "put.l_cb");
-      h.l_cb(*this, h.lreg, h.ldispl, h.rreg, h.rdispl, h.size, h.remote,
-             h.l_cb_data);
+      h->l_cb(*this, h->lreg, h->ldispl, h->rreg, h->rdispl, h->size,
+              h->remote, h->l_cb_data);
     }
   } else {
     ++stats_.puts_completed_remote;
     if (put_remote_ns_ != nullptr) {
-      put_remote_ns_->add(static_cast<double>(eng_.now() - h.started));
+      put_remote_ns_->add(static_cast<double>(eng_.now() - h->started));
     }
-    const auto it = tags_.find(h.r_tag);
+    const auto it = tags_.find(h->r_tag);
     assert(it != tags_.end() && "put r_tag not registered");
     std::optional<des::ChargeSpan> span;
     if (eng_.trace_sink() != nullptr) span.emplace(eng_, "put.r_cb");
-    des::emit_flow(eng_, "put", h.flow_id, /*begin=*/false);
-    it->second.cb(*this, h.r_tag, h.r_cb_data.data(), h.r_cb_data.size(),
-                  h.origin, it->second.cb_data);
+    des::emit_flow(eng_, "put", h->flow_id, /*begin=*/false);
+    it->second.cb(*this, h->r_tag, h->r_cb_data.data(), h->r_cb_data.size(),
+                  h->origin, it->second.cb_data);
   }
+  release_handle(h);
 }
 
 int LciBackend::drain_retries() {
@@ -438,7 +451,8 @@ int LciBackend::drain_retries() {
     ++resumed;
   }
   while (!retry_data_sends_.empty()) {
-    if (!start_data_send(retry_data_sends_.front())) break;
+    const PendingDataSend& ps = retry_data_sends_.front();
+    if (!start_data_send(ps, ps.imm.data(), ps.imm.size())) break;
     retry_data_sends_.pop_front();
     ++resumed;
   }
@@ -495,8 +509,7 @@ int LciBackend::progress() {
     // §5.3.4: up to five AM completion handles, then all available bulk
     // handles; loop until nothing completes.
     for (int i = 0; i < cfg_.am_fairness_batch && !am_fifo_.empty(); ++i) {
-      AmHandle h = std::move(am_fifo_.front());
-      am_fifo_.pop_front();
+      const AmHandle h = am_fifo_.pop_front();
       des::charge_current(cfg_.dispatch_cost);
       const auto it = tags_.find(h.tag);
       assert(it != tags_.end() && "AM for unregistered tag");
@@ -516,9 +529,7 @@ int LciBackend::progress() {
       ++processed;
     }
     while (!data_fifo_.empty()) {
-      DataHandle h = std::move(data_fifo_.front());
-      data_fifo_.pop_front();
-      dispatch_data_handle(std::move(h));
+      dispatch_data_handle(data_fifo_.pop_front());
       ++processed;
     }
     total += processed;
@@ -532,28 +543,24 @@ void LciBackend::peer_failed(int remote) {
   // head forever (strict-FIFO drain) and starve live peers.  Idempotent.
   std::size_t sends = 0;
   std::size_t recvs = 0;
-  std::erase_if(retry_sends_, [&](const PendingSend& ps) {
-    return ps.remote == remote;
-  });
-  std::erase_if(retry_recvs_, [&](const PendingRecv& pr) {
+  retry_sends_.erase_if(
+      [&](const PendingSend& ps) { return ps.remote == remote; });
+  retry_recvs_.erase_if([&](const PendingRecv& pr) {
     if (pr.src != remote) return false;
     ++recvs;  // dropped without completing: the data never arrived
+    release_handle(pr.remote_done);
     return true;
   });
-  for (auto it = retry_data_sends_.begin(); it != retry_data_sends_.end();) {
-    if (it->remote != remote) {
-      ++it;
-      continue;
-    }
-    // Local-complete semantics: the origin buffer is reusable, so the
-    // local callback still fires (through the bulk FIFO, like any other
-    // local completion).  No slot was held — start_data_send failed.
-    DataHandle h = std::move(it->local_done);
-    h.queued = eng_.now();
-    data_fifo_.push_back(std::move(h));
+  // Local-complete semantics: the origin buffer is reusable, so the
+  // local callback still fires (through the bulk FIFO, like any other
+  // local completion).  No slot was held — start_data_send failed.
+  retry_data_sends_.erase_if([&](const PendingDataSend& ps) {
+    if (ps.remote != remote) return false;
+    ps.local_done->queued = eng_.now();
+    data_fifo_.push_back(ps.local_done);
     ++sends;
-    it = retry_data_sends_.erase(it);
-  }
+    return true;
+  });
   if (!has_retries()) clear_retry_pacing();
 
   // Device-level: direct sends awaiting CTS complete-as-cancelled (their
@@ -562,6 +569,11 @@ void LciBackend::peer_failed(int remote) {
   const mlci::Device::PurgeResult purged = dev_.peer_failed(remote);
   sends += purged.sends;
   recvs += purged.recvs;
+  // The receives mlci dropped never complete: recycle their handles.
+  for (std::uint32_t s = 0; s < handles_.size(); ++s) {
+    DataHandle& h = handles_[s];
+    if (h.in_recv && h.origin == remote) release_handle(&h);
+  }
   stats_.peer_failed_sends += sends;
   stats_.peer_failed_recvs += recvs;
   if (sends + recvs > 0) wake_comm_thread();

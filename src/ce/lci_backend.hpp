@@ -24,17 +24,17 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "ce/comm_engine.hpp"
 #include "ce/reliable.hpp"
 #include "des/poll_loop.hpp"
+#include "des/ring.hpp"
 #include "des/rng.hpp"
 #include "des/sim_thread.hpp"
+#include "des/slab.hpp"
 #include "mlci/lci.hpp"
 
 namespace ce {
@@ -85,6 +85,11 @@ class LciBackend final : public CommEngine {
     std::size_t size = 0;
     des::Time arrived = 0;  ///< FIFO entry time ("ce.am_queue_ns")
   };
+  /// A put's completion at one end.  Handles live in `handles_` from the
+  /// put call (origin) or handshake arrival (target) until dispatch; mlci
+  /// carries the handle's address as the operation's user_context, and
+  /// the data FIFO holds addresses too.  Recycled slots keep the capacity
+  /// of their callback-data buffer.
   struct DataHandle {
     enum class Kind { LocalDone, RemoteDone };
     Kind kind = Kind::LocalDone;
@@ -100,6 +105,8 @@ class LciBackend final : public CommEngine {
     std::vector<std::byte> r_cb_data;
     int origin = -1;
     std::uint64_t flow_id = 0;  ///< put trace-flow id (origin, data_tag)
+    bool in_recv = false;       ///< Direct receive posted to mlci
+    std::uint32_t slot = 0;     ///< its slot in handles_
     /// Put start (origin call / handshake arrival): put_local/put_remote
     /// latency base.
     des::Time started = 0;
@@ -112,7 +119,7 @@ class LciBackend final : public CommEngine {
     std::uint64_t data_tag = 0;
     void* dst = nullptr;
     std::size_t size = 0;
-    DataHandle remote_done;  ///< completion pushed when the data lands
+    DataHandle* remote_done = nullptr;  ///< pushed when the data lands
   };
   /// An AM or handshake whose send hit Retry (pool exhaustion).
   struct PendingSend {
@@ -126,20 +133,36 @@ class LciBackend final : public CommEngine {
     std::uint64_t data_tag = 0;
     const void* src = nullptr;
     std::size_t size = 0;
-    DataHandle local_done;
+    DataHandle* local_done = nullptr;
     // Native-put fields (cfg.native_put).
     bool native = false;
     std::uint64_t remote_base = 0;
-    std::vector<std::byte> imm;
+    std::vector<std::byte> imm;  ///< filled only once parked
   };
 
   void on_am_arrival(mlci::Request&& req);      // progress-thread context
   void handle_handshake(mlci::Request&& req);   // progress-thread context
+  void on_native_put(mlci::Request&& req);      // progress-thread context
+  // mlci completion handlers; `self` is the backend, the request's
+  // user_context the DataHandle.
+  static void on_send_done(void* self, mlci::Request&& req);
+  static void on_recv_done(void* self, mlci::Request&& req);
   bool post_data_recv(const PendingRecv& pr);   // false => Retry
-  bool start_data_send(const PendingDataSend& ps);  // false => Retry
+  bool start_data_send(const PendingDataSend& ps, const void* imm,
+                       std::size_t imm_size);   // false => Retry
   mlci::Status send_wire_am(int remote, Tag wire_tag, const void* body,
                             std::size_t size);  // Immediate/Buffered by size
-  void dispatch_data_handle(DataHandle&& h);
+  /// Sends the packed handshake, parking a copy when mlci says Retry.
+  void send_handshake(int remote);
+  DataHandle* acquire_handle();
+  void release_handle(DataHandle* h);
+  DataHandle* local_done_handle(const MemReg& lreg, std::ptrdiff_t ldispl,
+                                const MemReg& rreg, std::ptrdiff_t rdispl,
+                                std::size_t size, int remote,
+                                OnesidedCallback&& l_cb, void* l_cb_data,
+                                des::Time started);
+  void push_data_handle(DataHandle* h);
+  void dispatch_data_handle(DataHandle* h);
   void wake_comm_thread();
   int drain_retries();
   void arm_retry_timer();
@@ -155,11 +178,13 @@ class LciBackend final : public CommEngine {
   CeStats stats_;
   std::unordered_map<Tag, AmTagInfo> tags_;
 
-  std::deque<AmHandle> am_fifo_;
-  std::deque<DataHandle> data_fifo_;
-  std::deque<PendingRecv> retry_recvs_;
-  std::deque<PendingSend> retry_sends_;
-  std::deque<PendingDataSend> retry_data_sends_;
+  des::Ring<AmHandle> am_fifo_;
+  des::Ring<DataHandle*> data_fifo_;
+  des::Ring<PendingRecv> retry_recvs_;
+  des::Ring<PendingSend> retry_sends_;
+  des::Ring<PendingDataSend> retry_data_sends_;
+  des::Slab<DataHandle> handles_;
+  std::vector<std::byte> handshake_buf_;  ///< reused handshake packing
 
   std::unique_ptr<des::SimThread> progress_thread_;
   std::unique_ptr<des::PollLoop> progress_loop_;

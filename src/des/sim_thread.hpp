@@ -14,12 +14,12 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "des/engine.hpp"
+#include "des/ring.hpp"
 #include "des/time.hpp"
 #include "des/trace_sink.hpp"
 
@@ -41,8 +41,14 @@ class SimThread {
   void post_work(Duration cost, EventQueue::Callback fn,
                  const char* label = nullptr) {
     assert(cost >= 0);
-    queue_.push_back(Item{cost, std::move(fn), label});
-    pump();
+    if (dispatch_pending_ || in_item_) {
+      queue_.push_back(Item{cost, std::move(fn), label});
+      return;
+    }
+    // An idle thread starts the item at once (the queue is empty then):
+    // threads that never queue a second item never allocate a queue.
+    assert(queue_.empty());
+    dispatch(Item{cost, std::move(fn), label});
   }
 
   /// Enqueues a zero-cost item (bookkeeping that is modeled as free).
@@ -97,9 +103,12 @@ class SimThread {
   // allocation-free even when the item's own fn carries a large capture.
   void pump() {
     if (dispatch_pending_ || in_item_ || queue_.empty()) return;
+    dispatch(queue_.pop_front());
+  }
+
+  void dispatch(Item&& item) {
     dispatch_pending_ = true;
-    running_ = std::move(queue_.front());
-    queue_.pop_front();
+    running_ = std::move(item);
     running_start_ = std::max(eng_.now(), free_at_);
     eng_.schedule_at(running_start_ + running_.cost,
                      [this]() { run_item(); });
@@ -129,7 +138,7 @@ class SimThread {
 
   Engine& eng_;
   std::string name_;
-  std::deque<Item> queue_;
+  Ring<Item> queue_;
   Item running_{};
   Time running_start_ = 0;
   Time free_at_ = 0;

@@ -187,6 +187,68 @@ void TlrCholeskyGraph::successors(const amt::TaskKey& t, int flow,
   assert(false);
 }
 
+void TlrCholeskyGraph::successors_on(int rank, const amt::TaskKey& t,
+                                     int flow,
+                                     std::vector<amt::Dep>& out) const {
+  const int nt = opts_.nt();
+  // Under the 2D block-cyclic map, `rank` owns the tiles (i, j) with
+  // i % grid_p_ == row and j % grid_q_ == col.
+  const int row = rank / grid_q_;
+  const int col = rank % grid_q_;
+  if (row >= grid_p_) return;
+  // First index >= lo congruent to `rem` modulo `period`.
+  const auto first = [](int lo, int rem, int period) {
+    return lo + ((rem - lo % period) % period + period) % period;
+  };
+  // The owned part of panel_consumers() in successors(), in its order.
+  const auto panel_consumers = [&](int i, int k, bool u_factor) {
+    const std::int32_t self_in = u_factor ? 1 : 2;
+    const std::int32_t other_in = u_factor ? 3 : 4;
+    if (i % grid_p_ == row) {
+      if (i % grid_q_ == col) {
+        out.push_back({amt::TaskKey{kSyrk, i, k}, self_in});
+      }
+      for (int j = first(k + 1, col, grid_q_); j < i; j += grid_q_) {
+        out.push_back({amt::TaskKey{kGemm, i, j, k}, self_in});
+      }
+    }
+    if (i % grid_q_ == col) {
+      for (int i2 = first(i + 1, row, grid_p_); i2 < nt; i2 += grid_p_) {
+        out.push_back({amt::TaskKey{kGemm, i2, i, k}, other_in});
+      }
+    }
+  };
+
+  switch (t.cls) {
+    case kCmpr:
+      if (t.j == 0 && flow == 0) {
+        panel_consumers(t.i, 0, /*u_factor=*/true);
+        return;
+      }
+      break;
+    case kPotrf:
+      if (t.i % grid_q_ == col) {
+        for (int i = first(t.i + 1, row, grid_p_); i < nt; i += grid_p_) {
+          out.push_back({amt::TaskKey{kTrsm, i, t.i}, 0});
+        }
+      }
+      return;
+    case kTrsm:
+      panel_consumers(t.i, t.j, /*u_factor=*/false);
+      return;
+    case kGemm:
+      if (t.k == t.j - 1 && flow == 0) {
+        panel_consumers(t.i, t.j, /*u_factor=*/true);
+        return;
+      }
+      break;
+    default:
+      break;
+  }
+  // Single-consumer flows: filtering costs one owner lookup.
+  amt::TaskGraphDef::successors_on(rank, t, flow, out);
+}
+
 double TlrCholeskyGraph::priority(const amt::TaskKey& t) const {
   const int nt = opts_.nt();
   // Panel index drives urgency; within a panel: POTRF > TRSM > SYRK >

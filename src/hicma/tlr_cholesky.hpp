@@ -97,6 +97,10 @@ class TlrCholeskyGraph final : public amt::TaskGraphDef {
   int rank_of(const amt::TaskKey& t) const override;
   void successors(const amt::TaskKey& t, int flow,
                   std::vector<amt::Dep>& out) const override;
+  /// Steps the panel loops by the process-grid period instead of
+  /// filtering: a node visits only the consumers it owns.
+  void successors_on(int rank, const amt::TaskKey& t, int flow,
+                     std::vector<amt::Dep>& out) const override;
   double priority(const amt::TaskKey& t) const override;
   des::Duration execute(const amt::TaskKey& t,
                         amt::RunContext& ctx) override;

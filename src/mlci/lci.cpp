@@ -1,8 +1,11 @@
 #include "mlci/lci.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <utility>
+
+#include "net/payload_pool.hpp"
 
 namespace mlci {
 namespace {
@@ -112,21 +115,22 @@ Status Device::sendd(int dst, Tag tag, const void* buf, std::size_t n,
   ds.dst = dst;
   ds.tag = tag;
   ds.size = n;
-  ds.comp = std::move(comp);
+  ds.comp = comp;
   ds.user_context = user_context;
-  ds.id = next_direct_id_++;
+  ds.seq = direct_seq_++;
+  ds.awaiting_cts = true;
   if (buf != nullptr && n > 0) ds.payload = net::make_payload(buf, n);
 
   net::Message rts = base_message(dst, tag, kRts, n);
-  rts.hdr.imm[0] = ds.id;
-  direct_sends_.push_back(std::move(ds));
+  rts.hdr.imm[0] = direct_sends_.insert(std::move(ds));
   lci_.fabric_.nic(rank_).send(std::move(rts));
   return Status::Ok;
 }
 
 Status Device::putd(int dst, Tag tag, const void* buf, std::size_t n,
                     std::uint64_t remote_base, Comp comp,
-                    const void* imm_data, std::size_t imm_size) {
+                    const void* imm_data, std::size_t imm_size,
+                    void* user_context) {
   const Config& cfg = lci_.cfg_;
   if (imm_size > cfg.buffered_size) return Status::Invalid;
   des::charge_current(cfg.op_overhead);
@@ -139,7 +143,7 @@ Status Device::putd(int dst, Tag tag, const void* buf, std::size_t n,
   m.hdr.imm[1] = imm_size;
   // Payload layout: [imm_size bytes of immediate data][data bytes].
   if (imm_size > 0 || (buf != nullptr && n > 0)) {
-    auto body = std::make_shared<std::vector<std::byte>>(
+    auto body = net::PayloadPool::global().acquire_mutable(
         imm_size + (buf != nullptr ? n : 0));
     if (imm_size > 0) std::memcpy(body->data(), imm_data, imm_size);
     if (buf != nullptr && n > 0) {
@@ -147,18 +151,16 @@ Status Device::putd(int dst, Tag tag, const void* buf, std::size_t n,
     }
     m.payload = std::move(body);
   }
-  lci_.fabric_.nic(rank_).send(
-      std::move(m), [this, peer = dst, tag, n, comp = std::move(comp)]() {
-        ++direct_free_;
-        Request req;
-        req.type = Request::Type::SendDone;
-        req.peer = peer;
-        req.tag = tag;
-        req.size = n;
-        hw_completions_.push_back(
-            PendingCompletion{comp, std::move(req)});
-        notify();
-      });
+  DirectSend ds;
+  ds.dst = dst;
+  ds.tag = tag;
+  ds.size = n;
+  ds.comp = comp;
+  ds.user_context = user_context;
+  ds.seq = direct_seq_++;
+  const std::uint64_t id = direct_sends_.insert(std::move(ds));
+  lci_.fabric_.nic(rank_).send(std::move(m),
+                               [this, id]() { on_direct_sent(id); });
   return Status::Ok;
 }
 
@@ -181,9 +183,7 @@ void Device::handle_put(net::Message& m) {
     req.tag = m.hdr.tag;
     req.size = n;
     if (imm_size > 0 && m.payload != nullptr) {
-      req.payload = std::make_shared<std::vector<std::byte>>(
-          m.payload->begin(),
-          m.payload->begin() + static_cast<std::ptrdiff_t>(imm_size));
+      req.payload = net::make_payload(m.payload->data(), imm_size);
     }
     put_handler_(std::move(req));
   }
@@ -195,8 +195,8 @@ Status Device::recvd(int src, Tag tag, void* buf, std::size_t capacity,
   des::charge_current(cfg.op_overhead);
   if (direct_free_ == 0) return Status::Retry;
   --direct_free_;
-  posted_direct_.push_back(DirectRecv{src, tag, buf, capacity,
-                                      std::move(comp), user_context});
+  posted_direct_.push_back(
+      DirectRecv{src, tag, buf, capacity, comp, user_context});
   // A matching RTS may already be waiting; matching happens in progress(),
   // which the caller is responsible for driving (explicit-progress model).
   return Status::Ok;
@@ -207,9 +207,9 @@ Status Device::recvd(int src, Tag tag, void* buf, std::size_t capacity,
 
 void Device::complete(const Comp& comp, Request&& req) {
   const Config& cfg = lci_.cfg_;
-  if (comp.handler_ && *comp.handler_) {
+  if (comp.fn_ != nullptr) {
     des::charge_current(cfg.handler_cost);
-    (*comp.handler_)(std::move(req));
+    comp.fn_(comp.ctx_, std::move(req));
   } else if (comp.queue_ != nullptr) {
     comp.queue_->queue_.push_back(std::move(req));
   } else if (comp.sync_ != nullptr) {
@@ -263,18 +263,17 @@ void Device::handle_rts(net::Message& m) {
 
 void Device::try_match_rts() {
   const Config& cfg = lci_.cfg_;
-  for (auto rts = pending_rts_.begin(); rts != pending_rts_.end();) {
+  for (std::size_t r = 0; r < pending_rts_.size();) {
+    const net::Message& rts = pending_rts_[r];
     bool matched = false;
     for (auto pr = posted_direct_.begin(); pr != posted_direct_.end(); ++pr) {
       des::charge_current(cfg.match_cost);
-      if (pr->src == rts->src && pr->tag == rts->hdr.tag) {
-        // Send clear-to-send carrying both sides' identifiers; stash the
-        // receive descriptor keyed by the sender's id (echoed in DATA).
-        net::Message cts = base_message(rts->src, rts->hdr.tag, kCts, 0);
-        cts.hdr.imm[0] = rts->hdr.imm[0];
-        matched_recvs_.emplace(rts->hdr.imm[0] ^
-                                   (static_cast<std::uint64_t>(rts->src) << 48),
-                               std::move(*pr));
+      if (pr->src == rts.src && pr->tag == rts.hdr.tag) {
+        // Send clear-to-send carrying both sides' identifiers: the
+        // sender's id and the matched receive's, both echoed in DATA.
+        net::Message cts = base_message(rts.src, rts.hdr.tag, kCts, 0);
+        cts.hdr.imm[0] = rts.hdr.imm[0];
+        cts.hdr.imm[1] = matched_recvs_.insert(std::move(*pr));
         posted_direct_.erase(pr);
         lci_.fabric_.nic(rank_).send(std::move(cts));
         matched = true;
@@ -282,9 +281,9 @@ void Device::try_match_rts() {
       }
     }
     if (matched) {
-      rts = pending_rts_.erase(rts);
+      pending_rts_.take(r);
     } else {
-      ++rts;
+      ++r;
     }
   }
 }
@@ -293,45 +292,43 @@ void Device::handle_cts(net::Message& m) {
   const Config& cfg = lci_.cfg_;
   des::charge_current(cfg.event_cost);
   const std::uint64_t id = m.hdr.imm[0];
-  for (auto it = direct_sends_.begin(); it != direct_sends_.end(); ++it) {
-    if (it->id != id) continue;
-    DirectSend ds = std::move(*it);
-    direct_sends_.erase(it);
-    net::Message data = base_message(ds.dst, ds.tag, kData, ds.size);
-    data.wire_bytes += ds.size;
-    data.hdr.imm[0] = id;
-    data.payload = ds.payload;
-    // Local completion once the RDMA write has drained from the NIC: a
-    // hardware event consumed by a later progress() call.
-    lci_.fabric_.nic(rank_).send(
-        std::move(data),
-        [this, peer = ds.dst, tag = ds.tag, size = ds.size,
-         comp = std::move(ds.comp), ctx = ds.user_context]() mutable {
-          Request req;
-          req.type = Request::Type::SendDone;
-          req.peer = peer;
-          req.tag = tag;
-          req.size = size;
-          req.user_context = ctx;
-          ++direct_free_;
-          hw_completions_.push_back(
-              PendingCompletion{std::move(comp), std::move(req)});
-          notify();
-        });
-    return;
-  }
-  assert(false && "CTS for unknown direct send");
+  DirectSend* ds = direct_sends_.find(id);
+  assert(ds != nullptr && ds->awaiting_cts && "CTS for unknown direct send");
+  ds->awaiting_cts = false;
+  net::Message data = base_message(ds->dst, ds->tag, kData, ds->size);
+  data.wire_bytes += ds->size;
+  data.hdr.imm[0] = id;
+  data.hdr.imm[1] = m.hdr.imm[1];
+  data.payload = std::move(ds->payload);
+  // Local completion once the RDMA write has drained from the NIC: a
+  // hardware event consumed by a later progress() call.
+  lci_.fabric_.nic(rank_).send(std::move(data),
+                               [this, id]() { on_direct_sent(id); });
+}
+
+void Device::on_direct_sent(std::uint64_t id) {
+  DirectSend* ds = direct_sends_.find(id);
+  assert(ds != nullptr && "local completion of an unknown direct send");
+  Request req;
+  req.type = Request::Type::SendDone;
+  req.peer = ds->dst;
+  req.tag = ds->tag;
+  req.size = ds->size;
+  req.user_context = ds->user_context;
+  ++direct_free_;
+  hw_completions_.push_back(PendingCompletion{ds->comp, std::move(req)});
+  direct_sends_.erase(id);
+  notify();
 }
 
 void Device::handle_data(net::Message& m) {
   const Config& cfg = lci_.cfg_;
   des::charge_current(cfg.event_cost);
-  const std::uint64_t key =
-      m.hdr.imm[0] ^ (static_cast<std::uint64_t>(m.src) << 48);
-  auto it = matched_recvs_.find(key);
-  assert(it != matched_recvs_.end() && "DATA without matched recv");
-  DirectRecv dr = std::move(it->second);
-  matched_recvs_.erase(it);
+  const std::uint64_t rid = m.hdr.imm[1];
+  DirectRecv* found = matched_recvs_.find(rid);
+  assert(found != nullptr && "DATA without matched recv");
+  const DirectRecv dr = *found;
+  matched_recvs_.erase(rid);
   const auto n = static_cast<std::size_t>(m.hdr.size);
   const std::size_t copied = n < dr.capacity ? n : dr.capacity;
   if (dr.buf != nullptr && m.payload != nullptr && copied > 0) {
@@ -352,36 +349,37 @@ Device::PurgeResult Device::peer_failed(int peer) {
   PurgeResult res;
   // Direct sends parked on a CTS that will never come: free the slot and
   // defer a SendDone through the hardware CQ (the next progress() call
-  // runs the handler on a real thread, mirroring the NIC-drain path).
-  for (auto it = direct_sends_.begin(); it != direct_sends_.end();) {
-    if (it->dst != peer) {
-      ++it;
-      continue;
-    }
-    DirectSend ds = std::move(*it);
-    it = direct_sends_.erase(it);
+  // runs the handler on a real thread, mirroring the NIC-drain path), in
+  // submission order.
+  std::vector<std::uint64_t> wedged =
+      direct_sends_.ids_if([peer](const DirectSend& ds) {
+        return ds.awaiting_cts && ds.dst == peer;
+      });
+  std::sort(wedged.begin(), wedged.end(),
+            [this](std::uint64_t a, std::uint64_t b) {
+              return direct_sends_.find(a)->seq < direct_sends_.find(b)->seq;
+            });
+  for (const std::uint64_t id : wedged) {
+    const DirectSend* ds = direct_sends_.find(id);
     ++direct_free_;
     Request req;
     req.type = Request::Type::SendDone;
-    req.peer = ds.dst;
-    req.tag = ds.tag;
-    req.size = ds.size;
-    req.user_context = ds.user_context;
-    hw_completions_.push_back(
-        PendingCompletion{std::move(ds.comp), std::move(req)});
+    req.peer = ds->dst;
+    req.tag = ds->tag;
+    req.size = ds->size;
+    req.user_context = ds->user_context;
+    hw_completions_.push_back(PendingCompletion{ds->comp, std::move(req)});
+    direct_sends_.erase(id);
     ++res.sends;
   }
   // Receives matched (CTS sent) or merely posted against the corpse: the
   // DATA never arrives, so the slot is freed and no completion fires —
   // signalling RecvDone would hand a buffer of garbage to the consumer.
-  for (auto it = matched_recvs_.begin(); it != matched_recvs_.end();) {
-    if (it->second.src == peer) {
-      it = matched_recvs_.erase(it);
-      ++direct_free_;
-      ++res.recvs;
-    } else {
-      ++it;
-    }
+  for (const std::uint64_t id : matched_recvs_.ids_if(
+           [peer](const DirectRecv& dr) { return dr.src == peer; })) {
+    matched_recvs_.erase(id);
+    ++direct_free_;
+    ++res.recvs;
   }
   for (auto it = posted_direct_.begin(); it != posted_direct_.end();) {
     if (it->src == peer) {
@@ -395,10 +393,9 @@ Device::PurgeResult Device::peer_failed(int peer) {
   // Queued traffic from the corpse: an RTS left here could match a future
   // receive and wedge its slot on never-arriving DATA, so everything not
   // yet processed is discarded (fail-stop semantics).
-  std::erase_if(pending_rts_,
-                [peer](const net::Message& m) { return m.src == peer; });
-  std::erase_if(incoming_,
-                [peer](const net::Message& m) { return m.src == peer; });
+  pending_rts_.erase_if(
+      [peer](const net::Message& m) { return m.src == peer; });
+  incoming_.erase_if([peer](const net::Message& m) { return m.src == peer; });
   if (res.sends > 0) notify();
   return res;
 }
@@ -410,16 +407,14 @@ int Device::do_progress() {
   // Drain local hardware completions (send-side CQ).
   while (!hw_completions_.empty()) {
     des::charge_current(cfg.event_cost);
-    PendingCompletion pc = std::move(hw_completions_.front());
-    hw_completions_.pop_front();
+    PendingCompletion pc = hw_completions_.pop_front();
     complete(pc.comp, std::move(pc.request));
     ++processed;
   }
   // Drain incoming messages.
   while (!incoming_.empty()) {
     des::charge_current(cfg.event_cost);
-    net::Message m = std::move(incoming_.front());
-    incoming_.pop_front();
+    net::Message m = incoming_.pop_front();
     handle_incoming(m);
     ++processed;
   }

@@ -23,13 +23,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "des/ring.hpp"
 #include "des/sim_thread.hpp"
 #include "des/time.hpp"
 #include "net/fabric.hpp"
@@ -96,21 +95,26 @@ class CompQueue {
  public:
   std::optional<Request> poll() {
     if (queue_.empty()) return std::nullopt;
-    Request r = std::move(queue_.front());
-    queue_.pop_front();
-    return r;
+    return queue_.pop_front();
   }
   std::size_t size() const { return queue_.size(); }
 
  private:
   friend class Device;
-  std::deque<Request> queue_;
+  des::Ring<Request> queue_;
 };
 
-/// Handler invoked from inside progress().
+/// Handler for incoming active messages and native puts, invoked from
+/// inside progress().
 using Handler = std::function<void(Request&&)>;
 
-/// Per-operation completion target.
+/// Completion handler of one operation: a plain function plus the context
+/// it was registered with (LCI's handler completion object).  The
+/// operation's own user_context arrives in the Request.
+using HandlerFn = void (*)(void* ctx, Request&& req);
+
+/// Per-operation completion target.  Trivially copyable: it rides inside
+/// pending operations and hardware completions without allocating.
 class Comp {
  public:
   static Comp none() { return Comp{}; }
@@ -119,9 +123,10 @@ class Comp {
     c.queue_ = q;
     return c;
   }
-  static Comp handler(Handler h) {
+  static Comp handler(HandlerFn fn, void* ctx) {
     Comp c;
-    c.handler_ = std::make_shared<Handler>(std::move(h));
+    c.fn_ = fn;
+    c.ctx_ = ctx;
     return c;
   }
   static Comp sync(Synchronizer* s) {
@@ -133,7 +138,8 @@ class Comp {
  private:
   friend class Device;
   CompQueue* queue_ = nullptr;
-  std::shared_ptr<Handler> handler_;
+  HandlerFn fn_ = nullptr;
+  void* ctx_ = nullptr;
   Synchronizer* sync_ = nullptr;
 };
 
@@ -177,7 +183,7 @@ class Device {
   /// completion (buffer reusable).
   Status putd(int dst, Tag tag, const void* buf, std::size_t n,
               std::uint64_t remote_base, Comp comp, const void* imm_data,
-              std::size_t imm_size);
+              std::size_t imm_size, void* user_context = nullptr);
 
   /// Handler for incoming native puts (remote completion); receives the
   /// immediate data as payload, the data size in Request::size.
@@ -217,22 +223,94 @@ class Device {
   friend class Lci;
   friend int progress(Device&);
 
-  struct DirectRecv {
-    int src;
-    Tag tag;
-    void* buf;
-    std::size_t capacity;
-    Comp comp;
-    void* user_context;
+  /// Operations in flight, addressed by generation-tagged ids:
+  /// `generation << 32 | (slot + 1)`, so 0 never names a slot.  Erasing an
+  /// operation bumps its slot's generation, and a stale id misses on lookup
+  /// instead of reaching the slot's next occupant.  Slots are reused LIFO.
+  template <class T>
+  class SlotTable {
+   public:
+    using Id = std::uint64_t;
+
+    Id insert(T&& v) {
+      std::uint32_t s;
+      if (!free_.empty()) {
+        s = free_.back();
+        free_.pop_back();
+      } else {
+        s = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+      }
+      Slot& slot = slots_[s];
+      slot.value = std::move(v);
+      slot.live = true;
+      return (static_cast<Id>(slot.gen) << 32) | (static_cast<Id>(s) + 1);
+    }
+
+    /// The live operation named by `id`, or null.  Invalidated by insert.
+    T* find(Id id) {
+      const auto s = static_cast<std::uint32_t>(id) - 1;
+      if (s >= slots_.size()) return nullptr;
+      Slot& slot = slots_[s];
+      if (!slot.live || slot.gen != static_cast<std::uint32_t>(id >> 32)) {
+        return nullptr;
+      }
+      return &slot.value;
+    }
+
+    void erase(Id id) {
+      const auto s = static_cast<std::uint32_t>(id) - 1;
+      Slot& slot = slots_[s];
+      slot.value = T{};
+      slot.live = false;
+      ++slot.gen;
+      free_.push_back(s);
+    }
+
+    /// Ids of the live operations matching `pred`, in slot order.
+    template <class Pred>
+    std::vector<Id> ids_if(Pred pred) const {
+      std::vector<Id> out;
+      for (std::size_t s = 0; s < slots_.size(); ++s) {
+        const Slot& slot = slots_[s];
+        if (slot.live && pred(slot.value)) {
+          out.push_back((static_cast<Id>(slot.gen) << 32) |
+                        (static_cast<Id>(s) + 1));
+        }
+      }
+      return out;
+    }
+
+   private:
+    struct Slot {
+      T value{};
+      std::uint32_t gen = 0;
+      bool live = false;
+    };
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
   };
-  struct DirectSend {
-    int dst;
-    Tag tag;
-    net::PayloadPtr payload;
-    std::size_t size;
+
+  struct DirectRecv {
+    int src = -1;
+    Tag tag = 0;
+    void* buf = nullptr;
+    std::size_t capacity = 0;
     Comp comp;
-    void* user_context;
-    std::uint64_t id;
+    void* user_context = nullptr;
+  };
+  /// A Direct send or native put from submission to local completion.
+  /// Its table id travels in RTS/CTS/DATA, and the NIC's sent handler
+  /// captures only the device and the id.
+  struct DirectSend {
+    int dst = -1;
+    Tag tag = 0;
+    net::PayloadPtr payload;
+    std::size_t size = 0;
+    Comp comp;
+    void* user_context = nullptr;
+    std::uint64_t seq = 0;     ///< submission order
+    bool awaiting_cts = false; ///< RTS sent, DATA not yet
   };
   struct PendingCompletion {
     Comp comp;
@@ -253,6 +331,8 @@ class Device {
                             std::size_t logical_size) const;
 
   void handle_put(net::Message& m);
+  /// The NIC finished a Direct DATA or native put: local completion.
+  void on_direct_sent(std::uint64_t id);
 
   class Lci& lci_;
   int rank_;
@@ -263,13 +343,13 @@ class Device {
   int immediate_free_ = 0;
   int direct_free_ = 0;
 
-  std::deque<net::Message> incoming_;          ///< hardware receive queue
-  std::deque<PendingCompletion> hw_completions_;  ///< local send CQ
+  des::Ring<net::Message> incoming_;           ///< hardware receive queue
+  des::Ring<PendingCompletion> hw_completions_;  ///< local send CQ
   std::vector<DirectRecv> posted_direct_;      ///< posted Direct receives
-  std::deque<net::Message> pending_rts_;       ///< RTS awaiting a recvd
-  std::vector<DirectSend> direct_sends_;       ///< outstanding Direct sends
-  std::unordered_map<std::uint64_t, DirectRecv> matched_recvs_;
-  std::uint64_t next_direct_id_ = 1;
+  des::Ring<net::Message> pending_rts_;        ///< RTS awaiting a recvd
+  SlotTable<DirectSend> direct_sends_;         ///< sends + puts in flight
+  SlotTable<DirectRecv> matched_recvs_;        ///< CTS sent, DATA pending
+  std::uint64_t direct_seq_ = 0;
   std::function<void()> notifier_;
 
   void notify() {

@@ -18,7 +18,6 @@
 // calling simulated thread via des::charge_current.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -26,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "des/ring.hpp"
 #include "des/sim_thread.hpp"
 #include "des/time.hpp"
 #include "net/fabric.hpp"
@@ -170,55 +170,6 @@ class Rank {
   Rank(Mpi& mpi, int rank, int size)
       : mpi_(mpi), rank_(rank), send_seq_(static_cast<std::size_t>(size)) {}
 
-  /// FIFO over a vector with a head index.  Pops advance the head; the
-  /// storage is reused once the queue drains (or compacted when the dead
-  /// prefix outgrows the live part), so steady traffic allocates nothing.
-  template <class T>
-  class Fifo {
-   public:
-    bool empty() const { return head_ == buf_.size(); }
-    std::size_t size() const { return buf_.size() - head_; }
-    T& operator[](std::size_t i) { return buf_[head_ + i]; }
-    void push_back(T&& v) { buf_.push_back(std::move(v)); }
-    T pop_front() {
-      T v = std::move(buf_[head_++]);
-      reclaim();
-      return v;
-    }
-    /// Removes element `i`, keeping the order of the rest (the prefix
-    /// moves up one place: matches cluster near the front).
-    T take(std::size_t i) {
-      T v = std::move(buf_[head_ + i]);
-      for (std::size_t k = head_ + i; k > head_; --k) {
-        buf_[k] = std::move(buf_[k - 1]);
-      }
-      ++head_;
-      reclaim();
-      return v;
-    }
-    template <class Pred>
-    void erase_if(Pred pred) {
-      const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
-      buf_.erase(std::remove_if(first, buf_.end(), pred), buf_.end());
-      reclaim();
-    }
-
-   private:
-    void reclaim() {
-      if (head_ == buf_.size()) {
-        buf_.clear();
-        head_ = 0;
-      } else if (head_ >= 64 && 2 * head_ >= buf_.size()) {
-        buf_.erase(buf_.begin(),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-      }
-    }
-
-    std::vector<T> buf_;
-    std::size_t head_ = 0;
-  };
-
   struct Request {
     enum class Kind { Send, Recv };
     enum class State { Inactive, Active, Complete };
@@ -276,9 +227,9 @@ class Rank {
 
   Mpi& mpi_;
   int rank_;
-  Fifo<net::Message> incoming_;             ///< hardware queue
+  des::Ring<net::Message> incoming_;        ///< hardware queue
   std::vector<RequestId> posted_recvs_;     ///< posted-receive queue (FIFO)
-  Fifo<net::Message> unexpected_;           ///< unexpected-message queue
+  des::Ring<net::Message> unexpected_;      ///< unexpected-message queue
   std::vector<std::uint64_t> send_seq_;     ///< next seq, by destination
   std::vector<Request> slots_;              ///< request table
   std::vector<std::uint32_t> free_slots_;   ///< LIFO: warm slots first

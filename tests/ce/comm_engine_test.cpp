@@ -622,4 +622,34 @@ TEST(CeLciBackend, NativePutManyConcurrentAllComplete) {
   EXPECT_TRUE(w.world.all_idle());
 }
 
+// A native put that reaches a device after its backend was destroyed must
+// find no put handler: the backend clears every device hook it set.  The
+// progress pass is charged for draining and handling the put, and no
+// handler cost (which a leftover handler would also add, after calling
+// through the destroyed backend).
+TEST(CeLciBackend, NativePutAfterBackendDestructionRunsNoHandler) {
+  des::Engine eng;
+  net::Fabric fab(eng, 2);
+  mlci::Lci lci(fab);
+  {
+    CeConfig cfg;
+    cfg.native_put = true;
+    ce::LciBackend backend(lci.device(1), eng, cfg);
+    eng.run();  // its progress loop runs once and parks
+  }
+  ASSERT_EQ(lci.device(0).putd(1, 7, nullptr, 64, 0, mlci::Comp::none(),
+                               "imm", 3),
+            mlci::Status::Ok);
+  eng.run();  // the put lands in device 1's hardware queue
+  ASSERT_EQ(lci.device(1).pending_hw_events(), 1u);
+  des::SimThread thread(eng, "progress");
+  int processed = 0;
+  thread.post([&] { processed = mlci::progress(lci.device(1)); });
+  eng.run();
+  EXPECT_EQ(processed, 1);
+  const mlci::Config& lcfg = lci.config();
+  EXPECT_EQ(thread.busy_time(),
+            lcfg.progress_poll_cost + 2 * lcfg.event_cost);
+}
+
 }  // namespace

@@ -1,4 +1,5 @@
-// Heap-allocation guard for the MPI path (mmpi + ce::MpiBackend).
+// Heap-allocation guards for both communication paths: mmpi +
+// ce::MpiBackend, and mlci + ce::LciBackend, each under the runtime.
 //
 // Its own binary because it replaces the global operator new with a
 // counting one.  Allocation counts in this single-threaded simulation
@@ -49,22 +50,23 @@ void drain(des::Engine& eng, ce::CommWorld& world) {
   }
 }
 
-// A progress pass that completes nothing allocates nothing, including
-// after AM and put traffic has come and gone.
-TEST(MpiAlloc, IdleProgressPassAllocatesNothing) {
+// Runs AM and put traffic through a 2-node world until it has come and
+// gone, then counts what 100 progress passes that complete nothing
+// allocate.
+std::uint64_t idle_pass_allocs(ce::BackendKind backend) {
   des::Engine eng;
   net::Fabric fab(eng, 2);
   ce::CeConfig cfg;
-  ce::CommWorld world(fab, ce::BackendKind::Mpi, cfg);
+  ce::CommWorld world(fab, backend, cfg);
   int pings = 0, landed = 0;
   for (int n = 0; n < 2; ++n) {
-    ASSERT_EQ(world.engine(n).tag_reg(
+    EXPECT_EQ(world.engine(n).tag_reg(
                   kPing,
                   [&pings](ce::CommEngine&, ce::Tag, const void*, std::size_t,
                            int, void*) { ++pings; },
                   nullptr, 64),
               ce::Status::Ok);
-    ASSERT_EQ(world.engine(n).tag_reg(
+    EXPECT_EQ(world.engine(n).tag_reg(
                   kLanded,
                   [&landed](ce::CommEngine&, ce::Tag, const void*,
                             std::size_t, int, void*) { ++landed; },
@@ -76,13 +78,13 @@ TEST(MpiAlloc, IdleProgressPassAllocatesNothing) {
   const ce::MemReg rreg = world.engine(1).mem_reg(dst.data(), dst.size());
   const int cookie = 42;
   for (int round = 0; round < 4; ++round) {
-    ASSERT_EQ(world.engine(0).send_am(kPing, 1, "hi", 2), ce::Status::Ok);
+    EXPECT_EQ(world.engine(0).send_am(kPing, 1, "hi", 2), ce::Status::Ok);
     world.engine(0).put(lreg, 0, rreg, 0, src.size(), 1, nullptr, nullptr,
                         kLanded, &cookie, sizeof cookie);
     drain(eng, world);
   }
-  ASSERT_EQ(pings, 4);
-  ASSERT_EQ(landed, 4);
+  EXPECT_EQ(pings, 4);
+  EXPECT_EQ(landed, 4);
 
   const std::uint64_t before = g_allocs;
   int completed = 0;
@@ -91,20 +93,28 @@ TEST(MpiAlloc, IdleProgressPassAllocatesNothing) {
   }
   const std::uint64_t allocs = g_allocs - before;
   EXPECT_EQ(completed, 0);
-  EXPECT_EQ(allocs, 0u);
+  return allocs;
 }
 
-// Allocations of a whole 8-node MPI run (the fingerprint config), set-up
-// included.  The bound is the count this code makes, 5.69 per fabric
-// message, so any added allocation fails.  A map-based request store with
-// a per-pass rebuild of the request array made 33,210 (12.43 per message).
-// The run before the measured one fills process-wide pools (payload
-// buffers, flight-recorder rings) the same way in every fresh process.
-TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 15'203;
+// A progress pass that completes nothing allocates nothing, including
+// after AM and put traffic has come and gone.
+TEST(MpiAlloc, IdleProgressPassAllocatesNothing) {
+  EXPECT_EQ(idle_pass_allocs(ce::BackendKind::Mpi), 0u);
+}
+
+TEST(LciAlloc, IdleProgressPassAllocatesNothing) {
+  EXPECT_EQ(idle_pass_allocs(ce::BackendKind::Lci), 0u);
+}
+
+// Allocations of a whole 8-node run (the fingerprint config), set-up
+// included.  The run before the measured one fills process-wide pools
+// (payload buffers, flight-recorder rings) the same way in every fresh
+// process.
+std::uint64_t fingerprint_run_allocs(ce::BackendKind backend,
+                                     std::uint64_t expected_msgs) {
   hicma::ExperimentConfig cfg;
   cfg.nodes = 8;
-  cfg.backend = ce::BackendKind::Mpi;
+  cfg.backend = backend;
   cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
   cfg.tlr.n = 36000;
   cfg.tlr.nb = 3000;
@@ -117,12 +127,26 @@ TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
   const std::uint64_t before = g_allocs;
   const hicma::ExperimentResult res = hicma::run_tlr_cholesky(cfg);
   const std::uint64_t allocs = g_allocs - before;
-  ASSERT_EQ(res.fabric_messages, 2671u);
+  EXPECT_EQ(res.fabric_messages, expected_msgs);
   std::printf("allocs %llu (%.3f per fabric message)\n",
               static_cast<unsigned long long>(allocs),
               static_cast<double>(allocs) /
                   static_cast<double>(res.fabric_messages));
-  EXPECT_LE(allocs, kMaxAllocs);
+  return allocs;
+}
+
+// The bounds are the counts this code makes (1.67 and 1.70 per fabric
+// message, mostly set-up) when the test runs alone, as ctest runs it, so
+// any added allocation fails.  EXPERIMENTS.md records the counts of the
+// earlier designs.
+TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
+  constexpr std::uint64_t kMaxAllocs = 4'447;
+  EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Mpi, 2671), kMaxAllocs);
+}
+
+TEST(LciAlloc, FingerprintRunAllocationsStayAtBound) {
+  constexpr std::uint64_t kMaxAllocs = 4'540;
+  EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 2674), kMaxAllocs);
 }
 
 }  // namespace

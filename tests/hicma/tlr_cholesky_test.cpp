@@ -126,6 +126,66 @@ TEST(TlrGraphShape, SuccessorInputIndicesAreConsistent) {
   EXPECT_EQ(fed, expected_ports);
 }
 
+// successors_on() must be successors() filtered by rank_of(), in order,
+// for every task, flow and rank: the TLR override steps the panel loops
+// by the grid period instead of filtering.  Grids: 2x2 (p == q), 2x3 and
+// 2x4 (p != q), 1x7 (a prime node count).
+TEST(TlrGraphShape, SuccessorsOnMatchesFilteredSuccessors) {
+  for (const int nodes : {4, 6, 8, 7}) {
+    TlrOptions o;
+    o.mode = TlrOptions::Mode::Model;
+    o.n = 13200;
+    o.nb = 1200;  // nt = 11
+    TlrCholeskyGraph g(o, nodes);
+    const int nt = o.nt();
+    std::vector<amt::TaskKey> tasks;
+    for (int i = 0; i < nt; ++i) {
+      tasks.push_back({hicma::kDiag, i});
+      tasks.push_back({hicma::kPotrf, i});
+      for (int j = 0; j < i; ++j) {
+        tasks.push_back({hicma::kCmpr, i, j});
+        tasks.push_back({hicma::kTrsm, i, j});
+        tasks.push_back({hicma::kSyrk, i, j});
+        for (int k = 0; k < j; ++k) tasks.push_back({hicma::kGemm, i, j, k});
+      }
+    }
+    std::size_t compared = 0;
+    for (const amt::TaskKey& t : tasks) {
+      for (int f = 0; f < g.num_outputs(t); ++f) {
+        std::vector<amt::Dep> all;
+        g.successors(t, f, all);
+        for (int r = 0; r < nodes; ++r) {
+          std::vector<amt::Dep> want;
+          for (const amt::Dep& d : all) {
+            if (g.rank_of(d.task) == r) want.push_back(d);
+          }
+          // Appends after what `out` already holds.
+          std::vector<amt::Dep> got{amt::Dep{amt::TaskKey{-1}, -1}};
+          g.successors_on(r, t, f, got);
+          ASSERT_EQ(got.size(), want.size() + 1)
+              << "nodes=" << nodes << " cls=" << t.cls << " (" << t.i << ","
+              << t.j << "," << t.k << ") flow=" << f << " rank=" << r;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i + 1].task, want[i].task);
+            EXPECT_EQ(got[i + 1].input, want[i].input);
+          }
+          compared += want.size();
+        }
+      }
+    }
+    // Every consumer is owned by exactly one rank.
+    std::size_t total = 0;
+    for (const amt::TaskKey& t : tasks) {
+      for (int f = 0; f < g.num_outputs(t); ++f) {
+        std::vector<amt::Dep> all;
+        g.successors(t, f, all);
+        total += all.size();
+      }
+    }
+    EXPECT_EQ(compared, total) << "nodes=" << nodes;
+  }
+}
+
 class TlrRealCorrectness
     : public ::testing::TestWithParam<std::tuple<int, int, BackendKind>> {};
 

@@ -150,11 +150,13 @@ TEST(Mlci, HandlerCompletionRunsInsideProgress) {
   bool handled = false;
   std::vector<char> dst(256);
   ASSERT_EQ(w.lci.device(1).recvd(0, 3, dst.data(), dst.size(),
-                                  Comp::handler([&](Request&& r) {
-                                    handled = true;
-                                    EXPECT_EQ(r.type,
-                                              Request::Type::RecvDone);
-                                  })),
+                                  Comp::handler(
+                                      [](void* ctx, Request&& r) {
+                                        *static_cast<bool*>(ctx) = true;
+                                        EXPECT_EQ(r.type,
+                                                  Request::Type::RecvDone);
+                                      },
+                                      &handled)),
             Status::Ok);
   std::vector<char> src(256, 's');
   ASSERT_EQ(w.lci.device(0).sendd(1, 3, src.data(), src.size(), Comp::none()),
