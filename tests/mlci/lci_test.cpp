@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -385,6 +386,112 @@ TEST(MlciNativePut, RespectsDirectSlotBackpressure) {
                                  "b", 1),
             Status::Ok);
   w.run();
+}
+
+}  // namespace
+
+// --- fail-stop peer death ----------------------------------------------------
+
+namespace {
+
+// Runs the engine to completion while only the devices in `live` make
+// progress: a device left out never handles its hardware queue, so RTS and
+// CTS frames addressed to it wedge the operations that wait on its answer.
+void run_progressing(World& w, std::initializer_list<int> live) {
+  do {
+    for (const int r : live) mlci::progress(w.lci.device(r));
+  } while (w.eng.step());
+  for (const int r : live) mlci::progress(w.lci.device(r));
+}
+
+TEST(MlciPeerFailed, CompletesWedgedSendsInOrderDropsRecvsAndStalesIds) {
+  World w(3);
+  Device& d0 = w.lci.device(0);
+  Device& d1 = w.lci.device(1);  // dies: never progresses
+  Device& d2 = w.lci.device(2);
+  const int slots = d0.free_direct_slots();
+
+  // Three transfers to node 2 complete in submission order, so their
+  // slots come back in that order and the next sends reuse them in
+  // reverse: the wedged sends below sit in slots out of submission order.
+  std::vector<char> sink(64);
+  for (mlci::Tag t = 1; t <= 3; ++t) {
+    ASSERT_EQ(d2.recvd(0, t, sink.data(), sink.size(), Comp::none()),
+              Status::Ok);
+    ASSERT_EQ(d0.sendd(2, t, "abc", 3, Comp::none()), Status::Ok);
+  }
+  run_progressing(w, {0, 2});
+  ASSERT_EQ(d0.free_direct_slots(), slots);
+
+  // Four sends to node 1 wait for a CTS that never comes.
+  CompQueue send_cq;
+  int ctx[4] = {};
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(d0.sendd(1, static_cast<mlci::Tag>(10 + i), "xyz", 3,
+                       Comp::queue(&send_cq), &ctx[i]),
+              Status::Ok);
+  }
+  // One receive from node 1 is matched (its CTS is queued at node 1, so
+  // DATA never follows); another is only posted.
+  CompQueue recv_cq;
+  std::vector<char> matched(64), posted(64);
+  ASSERT_EQ(d0.recvd(1, 20, matched.data(), matched.size(),
+                     Comp::queue(&recv_cq)),
+            Status::Ok);
+  ASSERT_EQ(d0.recvd(1, 21, posted.data(), posted.size(),
+                     Comp::queue(&recv_cq)),
+            Status::Ok);
+  ASSERT_EQ(d1.sendd(0, 20, "m", 1, Comp::none()), Status::Ok);
+  run_progressing(w, {0, 2});
+  ASSERT_EQ(d0.free_direct_slots(), slots - 6);
+
+  const Device::PurgeResult res = d0.peer_failed(1);
+  EXPECT_EQ(res.sends, 4u);
+  EXPECT_EQ(res.recvs, 2u);
+  EXPECT_EQ(d0.free_direct_slots(), slots);
+  EXPECT_EQ(d0.peer_failed(1).sends, 0u);  // idempotent
+
+  // SendDone goes through the hardware CQ: nothing before progress(),
+  // then every wedged send once, in submission order.
+  EXPECT_EQ(send_cq.size(), 0u);
+  mlci::progress(d0);
+  for (int i = 0; i < 4; ++i) {
+    const auto c = send_cq.poll();
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->type, Request::Type::SendDone);
+    EXPECT_EQ(c->peer, 1);
+    EXPECT_EQ(c->tag, static_cast<mlci::Tag>(10 + i));
+    EXPECT_EQ(c->user_context, &ctx[i]);
+  }
+  EXPECT_FALSE(send_cq.poll().has_value());
+  EXPECT_EQ(recv_cq.size(), 0u);  // dropped receives never complete
+
+  // New operations toward node 2 take every freed slot and stay wedged
+  // (node 2 stops progressing): four sends awaiting CTS and one matched
+  // receive awaiting DATA.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_EQ(d0.sendd(2, static_cast<mlci::Tag>(30 + i), "new", 3,
+                       Comp::none()),
+              Status::Ok);
+  }
+  ASSERT_EQ(d0.recvd(2, 40, matched.data(), matched.size(), Comp::none()),
+            Status::Ok);
+  ASSERT_EQ(d2.sendd(0, 40, "n", 1, Comp::none()), Status::Ok);
+  run_progressing(w, {0});
+  ASSERT_EQ(d0.free_direct_slots(), slots - 5);
+
+  // If node 1 came back and answered, the ids it echoes were issued
+  // before the purge.  They must miss instead of driving the operations
+  // now in their slots.
+  EXPECT_DEATH(
+      {
+        std::vector<char> back(64);
+        for (mlci::Tag t = 10; t < 14; ++t) {
+          (void)d1.recvd(0, t, back.data(), back.size(), Comp::none());
+        }
+        run_progressing(w, {0, 1});
+      },
+      "unknown direct send|DATA without matched recv");
 }
 
 }  // namespace
