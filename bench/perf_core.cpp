@@ -1,13 +1,12 @@
 // Core-runtime perf-regression harness (not a paper figure).
 //
-// Measures the DES hot path and guards it against regressions.  Three
-// queue generations run the identical workload side by side:
+// Measures the DES hot path and guards it against regressions.  Two
+// queues run the identical workload side by side:
 //
 //   hybrid   — des::EventQueue, the calendar/timing-wheel hybrid;
-//   heapslab — des::HeapSlabQueue, the PR-4 4-ary-heap slot slab the
-//              hybrid replaced (preserved verbatim);
-//   legacy   — the pre-overhaul implementation (unordered_map callback
-//              store, std::function), preserved in perf_core_baseline.*.
+//   heapslab — des::HeapSlabQueue (oracle/heap_slab_queue.hpp), the
+//              4-ary-heap slot slab the hybrid replaced (preserved
+//              verbatim).
 //
 //   * schedule_pop     — steady-state schedule+pop throughput.  Also
 //                        counts heap allocations per event in steady
@@ -44,17 +43,14 @@
 #include <utility>
 #include <vector>
 
-#include <type_traits>
-
 #include "des/engine.hpp"
 #include "des/event_queue.hpp"
-#include "des/heap_slab_queue.hpp"
 #include "des/inplace_callback.hpp"
 #include "hicma/driver.hpp"
 #include "net/fabric.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/timeline.hpp"
-#include "perf_core_baseline.hpp"
+#include "oracle/heap_slab_queue.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter.  Every operator new in the process bumps it,
@@ -99,23 +95,8 @@ struct QueueBenchResult {
   double allocs_per_event = 0;
 };
 
-// Each queue carries the delivery closure its era actually scheduled, so
-// the comparison is hot path vs. hot path, not container vs. container.
-//
-// Pre-overhaul, Fabric::do_send captured the full Message (wire header +
-// payload handle + route) in every delivery lambda — far past
-// std::function's ~16-byte SSO, so each schedule paid a heap cell on top
-// of the queue's own map node.  Post-overhaul the message parks in a
-// pooled record and the closure is two pointers, inline in
-// InplaceCallback.
-struct LegacyDeliveryShape {
-  std::uint64_t* sink;
-  std::uint64_t hdr[8];    // WireHeader stand-in
-  std::uint64_t route[4];  // src, dst, wire_bytes, hops
-  void operator()() const { *sink += hdr[0] + route[3]; }
-};
-static_assert(sizeof(LegacyDeliveryShape) > 16, "must overflow SSO");
-
+// The fabric delivery closure: the message parks in a pooled slot and the
+// closure is two pointers, inline in InplaceCallback.
 struct PooledDeliveryShape {
   std::uint64_t* sink;
   const void* record;  // the pooled Delivery* in production
@@ -136,17 +117,11 @@ constexpr des::Time kScheduleDeltas[16] = {25,   25,   25,    25,    50,    50,
                                            675,  675,  675,   675,   1000,  1000,
                                            1000, 63366, 63366, 80413426};
 
-template <typename Queue, typename Shape>
+template <typename Queue>
 QueueBenchResult bench_schedule_pop(std::size_t ring, std::size_t ops) {
   Queue q;
   std::uint64_t sink = 0;
-  const Shape cb = [&sink] {
-    if constexpr (std::is_same_v<Shape, LegacyDeliveryShape>) {
-      return LegacyDeliveryShape{&sink, {1, 2, 3, 4, 5, 6, 7, 8}, {0, 1, 8, 2}};
-    } else {
-      return PooledDeliveryShape{&sink, &sink};
-    }
-  }();
+  const PooledDeliveryShape cb{&sink, &sink};
   if constexpr (requires { q.reserve(std::size_t{}); }) q.reserve(2 * ring);
   for (std::size_t i = 0; i < ring; ++i) {
     q.schedule(static_cast<des::Time>(i * 100), cb);
@@ -178,8 +153,8 @@ QueueBenchResult bench_schedule_pop(std::size_t ring, std::size_t ops) {
   return r;
 }
 
-// RTO-timer closure shape, identical in both eras: {channel, dst, seq}.
-// 24 bytes — already past std::function's SSO, inline for the slab.
+// RTO-timer closure shape: {channel, dst, seq}, 24 bytes, inline in
+// InplaceCallback.
 struct TimerShape {
   std::uint64_t* sink;
   std::uint32_t dst;
@@ -441,7 +416,7 @@ int main(int argc, char** argv) {
   // the queue legs under ~3 s total.
   const std::size_t ops = 1'000'000;
   const std::size_t fab_msgs = smoke ? 20'000 : 200'000;
-  // Best-of-N over INTERLEAVED hybrid/heapslab/legacy reps: wall-clock
+  // Best-of-N over INTERLEAVED hybrid/heapslab reps: wall-clock
   // on a shared machine is noisy, the fastest rep is the closest
   // estimate of the code's intrinsic cost, and alternating the queues
   // rep-by-rep keeps a load spike from taxing only one side of a ratio.
@@ -449,54 +424,38 @@ int main(int argc, char** argv) {
 
   std::printf("perf_core (%s mode)\n", smoke ? "smoke" : "full");
 
-  struct ThreeWay {
-    QueueBenchResult hybrid, heapslab, legacy;
+  struct TwoWay {
+    QueueBenchResult hybrid, heapslab;
   };
-  const auto best_of3 = [reps](auto&& measure_a, auto&& measure_b,
-                               auto&& measure_c) {
-    ThreeWay best{measure_a(), measure_b(), measure_c()};
+  const auto best_of2 = [reps](auto&& measure_a, auto&& measure_b) {
+    TwoWay best{measure_a(), measure_b()};
     for (int r = 1; r < reps; ++r) {
       const QueueBenchResult a = measure_a();
       const QueueBenchResult b = measure_b();
-      const QueueBenchResult c = measure_c();
       if (a.events_per_sec > best.hybrid.events_per_sec) best.hybrid = a;
       if (b.events_per_sec > best.heapslab.events_per_sec) best.heapslab = b;
-      if (c.events_per_sec > best.legacy.events_per_sec) best.legacy = c;
     }
     return best;
   };
 
-  const ThreeWay sp = best_of3(
-      [&] {
-        return bench_schedule_pop<des::EventQueue, PooledDeliveryShape>(ring,
-                                                                        ops);
-      },
-      [&] {
-        return bench_schedule_pop<des::HeapSlabQueue, PooledDeliveryShape>(
-            ring, ops);
-      },
-      [&] {
-        return bench_schedule_pop<baseline::EventQueue, LegacyDeliveryShape>(
-            ring, ops);
-      });
+  const TwoWay sp = best_of2(
+      [&] { return bench_schedule_pop<des::EventQueue>(ring, ops); },
+      [&] { return bench_schedule_pop<des::HeapSlabQueue>(ring, ops); });
   std::printf(
       "schedule_pop   : hybrid %.3g ev/s (%.3g allocs/ev), heapslab %.3g "
-      "ev/s, legacy %.3g ev/s, speedup %.2fx vs legacy, %.2fx vs heapslab\n",
+      "ev/s, %.2fx vs heapslab\n",
       sp.hybrid.events_per_sec, sp.hybrid.allocs_per_event,
-      sp.heapslab.events_per_sec, sp.legacy.events_per_sec,
-      sp.hybrid.events_per_sec / sp.legacy.events_per_sec,
+      sp.heapslab.events_per_sec,
       sp.hybrid.events_per_sec / sp.heapslab.events_per_sec);
 
-  const ThreeWay ch = best_of3(
+  const TwoWay ch = best_of2(
       [&] { return bench_cancel_heavy<des::EventQueue>(ring, ops); },
-      [&] { return bench_cancel_heavy<des::HeapSlabQueue>(ring, ops); },
-      [&] { return bench_cancel_heavy<baseline::EventQueue>(ring, ops); });
+      [&] { return bench_cancel_heavy<des::HeapSlabQueue>(ring, ops); });
   std::printf(
       "cancel_heavy   : hybrid %.3g op/s (%.3g allocs/op), heapslab %.3g "
-      "op/s, legacy %.3g op/s, speedup %.2fx vs legacy, %.2fx vs heapslab\n",
+      "op/s, %.2fx vs heapslab\n",
       ch.hybrid.events_per_sec, ch.hybrid.allocs_per_event,
-      ch.heapslab.events_per_sec, ch.legacy.events_per_sec,
-      ch.hybrid.events_per_sec / ch.legacy.events_per_sec,
+      ch.heapslab.events_per_sec,
       ch.hybrid.events_per_sec / ch.heapslab.events_per_sec);
 
   const auto fabr = bench_fabric_throughput(fab_msgs);
@@ -566,25 +525,21 @@ int main(int argc, char** argv) {
   json_field(f, "ring", static_cast<double>(ring));
   json_field(f, "events_per_sec", sp.hybrid.events_per_sec);
   json_field(f, "heapslab_events_per_sec", sp.heapslab.events_per_sec);
-  json_field(f, "legacy_events_per_sec", sp.legacy.events_per_sec);
-  json_field(f, "speedup", sp.hybrid.events_per_sec / sp.legacy.events_per_sec);
   json_field(f, "speedup_vs_heapslab",
              sp.hybrid.events_per_sec / sp.heapslab.events_per_sec);
   json_field(f, "steady_state_allocs_per_event", sp.hybrid.allocs_per_event);
-  json_field(f, "heapslab_allocs_per_event", sp.heapslab.allocs_per_event);
-  json_field(f, "legacy_allocs_per_event", sp.legacy.allocs_per_event, true);
+  json_field(f, "heapslab_allocs_per_event", sp.heapslab.allocs_per_event,
+             true);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cancel_heavy\": {\n");
   json_field(f, "ops", static_cast<double>(2 * ops));
   json_field(f, "events_per_sec", ch.hybrid.events_per_sec);
   json_field(f, "heapslab_events_per_sec", ch.heapslab.events_per_sec);
-  json_field(f, "legacy_events_per_sec", ch.legacy.events_per_sec);
-  json_field(f, "speedup", ch.hybrid.events_per_sec / ch.legacy.events_per_sec);
   json_field(f, "speedup_vs_heapslab",
              ch.hybrid.events_per_sec / ch.heapslab.events_per_sec);
   json_field(f, "steady_state_allocs_per_event", ch.hybrid.allocs_per_event);
-  json_field(f, "heapslab_allocs_per_event", ch.heapslab.allocs_per_event);
-  json_field(f, "legacy_allocs_per_event", ch.legacy.allocs_per_event, true);
+  json_field(f, "heapslab_allocs_per_event", ch.heapslab.allocs_per_event,
+             true);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fabric_throughput\": {\n");
   json_field(f, "messages", static_cast<double>(fab_msgs));

@@ -2,11 +2,11 @@
 # perf_core harness in smoke mode and validates the emitted
 # BENCH_core.json against the schema (v2) EXPERIMENTS.md documents.
 # Absolute smoke-mode timing numbers are not checked against thresholds —
-# wall-clock on a loaded CI machine is noise — but the hybrid/legacy and
-# hybrid/heapslab SPEEDUP RATIOS are machine-portable (numerator and
-# denominator run interleaved under the same load), so they are guarded
-# against the committed BENCH_core.json: a ratio more than 10% below the
-# committed full-mode ratio fails the test.  Invoked as:
+# wall-clock on a loaded CI machine is noise — but the hybrid/heapslab
+# SPEEDUP RATIO is machine-portable (numerator and denominator run
+# interleaved under the same load), so it is guarded against the
+# committed BENCH_core.json: a ratio more than 10% below the committed
+# full-mode ratio fails the test.  Invoked as:
 #   cmake -DPERF_CORE=<binary> -DOUT_JSON=<path> \
 #         [-DBASELINE_JSON=<committed BENCH_core.json>] -P perf_smoke.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
@@ -63,12 +63,9 @@ endfunction()
 foreach(section schedule_pop cancel_heavy)
   check_positive(${section} events_per_sec)
   check_positive(${section} heapslab_events_per_sec)
-  check_positive(${section} legacy_events_per_sec)
-  check_positive(${section} speedup)
   check_positive(${section} speedup_vs_heapslab)
   check_number(${section} steady_state_allocs_per_event)
   check_number(${section} heapslab_allocs_per_event)
-  check_number(${section} legacy_allocs_per_event)
 endforeach()
 check_positive(fabric_throughput msgs_per_sec)
 check_number(fabric_throughput allocs_per_msg)
@@ -97,9 +94,9 @@ foreach(section schedule_pop cancel_heavy)
 endforeach()
 
 # Regression guard vs. the committed baseline.  Absolute ev/s depends on
-# the machine, but the hybrid/legacy and hybrid/heapslab ratios come from
-# interleaved reps under identical load, so a committed-ratio shortfall
-# of more than 10% means the hybrid queue itself got slower.
+# the machine, but the hybrid/heapslab ratio comes from interleaved reps
+# under identical load, so a committed-ratio shortfall of more than 10%
+# means the hybrid queue itself got slower.
 #
 # CMake's math() is integer-only; ratios are converted to micro-units
 # (6 fractional digits, ample for a speedup guard) before comparing.
@@ -116,23 +113,22 @@ endfunction()
 if(DEFINED BASELINE_JSON AND EXISTS "${BASELINE_JSON}")
   file(READ "${BASELINE_JSON}" base)
   foreach(section schedule_pop cancel_heavy)
-    foreach(field speedup speedup_vs_heapslab)
-      string(JSON want ERROR_VARIABLE err GET "${base}" ${section} ${field})
-      if(err)
-        message(FATAL_ERROR
-          "baseline ${BASELINE_JSON} missing ${section}.${field}: ${err}")
-      endif()
-      string(JSON got GET "${doc}" ${section} ${field})
-      ratio_to_micro(got_u "${got}")
-      ratio_to_micro(want_u "${want}")
-      math(EXPR lhs "${got_u} * 100")
-      math(EXPR rhs "${want_u} * 90")  # 10% below baseline = failure
-      if(lhs LESS rhs)
-        message(FATAL_ERROR
-          "perf regression: ${section}.${field} = ${got} is more than 10% "
-          "below the committed baseline ${want} (${BASELINE_JSON})")
-      endif()
-    endforeach()
+    set(field speedup_vs_heapslab)
+    string(JSON want ERROR_VARIABLE err GET "${base}" ${section} ${field})
+    if(err)
+      message(FATAL_ERROR
+        "baseline ${BASELINE_JSON} missing ${section}.${field}: ${err}")
+    endif()
+    string(JSON got GET "${doc}" ${section} ${field})
+    ratio_to_micro(got_u "${got}")
+    ratio_to_micro(want_u "${want}")
+    math(EXPR lhs "${got_u} * 100")
+    math(EXPR rhs "${want_u} * 90")  # 10% below baseline = failure
+    if(lhs LESS rhs)
+      message(FATAL_ERROR
+        "perf regression: ${section}.${field} = ${got} is more than 10% "
+        "below the committed baseline ${want} (${BASELINE_JSON})")
+    endif()
   endforeach()
   message(STATUS "perf_core ratios within 10% of committed baseline")
 endif()

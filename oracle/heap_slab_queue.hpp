@@ -1,6 +1,7 @@
 // The binary-heap slot-slab event queue that preceded the calendar/
 // timing-wheel hybrid, preserved as a reference implementation (minus its
-// bulk cancel, which nothing used).
+// bulk cancel, which nothing used).  Header-only and outside the
+// simulator's sources: nothing in the simulator uses it.
 //
 // Two consumers keep it alive:
 //   * tests/des/queue_differential_test.cpp pops it side-by-side with the
@@ -143,7 +144,10 @@ class HeapSlabQueue {
     }
     compact();
   }
-  void compact();
+  void compact() {
+    std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
+    heap_rebuild();
+  }
 
   static constexpr std::size_t kHeapArity = 4;
   static constexpr std::size_t kCompactMinHeap = 64;
@@ -193,7 +197,12 @@ class HeapSlabQueue {
     if (!heap_.empty()) sift_down(0);
   }
 
-  void heap_rebuild();
+  void heap_rebuild() {
+    if (heap_.size() < 2) return;
+    for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {
+      sift_down(i);
+    }
+  }
 
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;

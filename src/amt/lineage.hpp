@@ -92,13 +92,6 @@ class LineageTracker {
   /// Number of distinct tasks currently Done.
   std::uint64_t done_count() const { return done_; }
 
-  /// Tasks whose phase is Pending (known records only; never-touched tasks
-  /// are implicitly Pending and enumerated by the coordinator's graph walk).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [key, r] : recs_) fn(key, r.phase, r.epoch, r.home);
-  }
-
  private:
   struct Rec {
     TaskPhase phase = TaskPhase::Pending;

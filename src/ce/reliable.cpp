@@ -97,23 +97,14 @@ ReliableChannel::ReliableChannel(ReliableDomain& domain, net::Fabric& fabric,
 ReliableChannel::~ReliableChannel() { cancel_timers(); }
 
 std::uint32_t ReliableChannel::slab_acquire() {
-  std::uint32_t slot = slab_free_;
-  if (slot != kNoSlot) {
-    slab_free_ = slab_next_free_[slot];
-    slab_hot_[slot] = UnackedHot{};
-  } else {
-    slot = static_cast<std::uint32_t>(slab_hot_.size());
-    slab_hot_.emplace_back();
-    slab_msg_.emplace_back();
-    slab_next_free_.push_back(kNoSlot);
-  }
+  const std::uint32_t slot = slab_.acquire();
+  slab_[slot].hot = UnackedHot{};
   return slot;
 }
 
 void ReliableChannel::slab_release(std::uint32_t slot) {
-  slab_msg_[slot] = net::Message{};  // drop the payload reference now
-  slab_next_free_[slot] = slab_free_;
-  slab_free_ = slot;
+  slab_[slot].msg = net::Message{};  // drop the payload reference now
+  slab_.release(slot);
 }
 
 std::size_t ReliableChannel::window_find(const std::vector<SeqSlot>& w,
@@ -128,7 +119,7 @@ std::size_t ReliableChannel::window_find(const std::vector<SeqSlot>& w,
 void ReliableChannel::cancel_timers() {
   for (auto& peer : unacked_) {
     for (const SeqSlot& e : peer) {
-      UnackedHot& u = slab_hot_[e.slot];
+      UnackedHot& u = slab_[e.slot].hot;
       if (u.timer != des::kInvalidEvent) {
         eng_.cancel(u.timer);
         u.timer = des::kInvalidEvent;
@@ -153,7 +144,7 @@ void ReliableChannel::peer_dead(net::NodeId peer) {
   std::vector<std::uint64_t> seqs;
   seqs.reserve(unacked_[i].size());
   for (const SeqSlot& e : unacked_[i]) {
-    UnackedHot& u = slab_hot_[e.slot];
+    UnackedHot& u = slab_[e.slot].hot;
     if (u.timer != des::kInvalidEvent) eng_.cancel(u.timer);
     seqs.push_back(e.seq);
     slab_release(e.slot);
@@ -215,12 +206,12 @@ void ReliableChannel::shim_send(net::Message&& m,
       fabric_.serialization_time(cfg.ack_bytes) +
       2 * fabric_.latency(node_, m.dst);
   const std::uint32_t slot = slab_acquire();
-  UnackedHot& u = slab_hot_[slot];
+  UnackedHot& u = slab_[slot].hot;
   u.first_sent = now;
   u.rto = cfg.rto_initial + cfg.rtt_factor * round_trip + queue_wait;
   u.rto_cap = std::max(cfg.rto_max, 2 * u.rto);
   const net::NodeId dst = m.dst;
-  slab_msg_[slot] = std::move(m);
+  slab_[slot].msg = std::move(m);
   // seqs are handed out monotonically per peer, so the window stays
   // sorted by construction.
   unacked_[peer].push_back(SeqSlot{seq, slot});
@@ -235,7 +226,7 @@ void ReliableChannel::transmit(net::NodeId dst, std::uint64_t seq,
   auto& peer = unacked_[static_cast<std::size_t>(dst)];
   const std::size_t i = window_find(peer, seq);
   assert(i != SIZE_MAX);
-  net::Message copy = slab_msg_[peer[i].slot];  // payload pointer shared
+  net::Message copy = slab_[peer[i].slot].msg;  // payload pointer shared
   fabric_.nic(node_).raw_send(std::move(copy), std::move(on_sent));
 }
 
@@ -243,7 +234,7 @@ void ReliableChannel::arm_timer(net::NodeId dst, std::uint64_t seq) {
   auto& peer = unacked_[static_cast<std::size_t>(dst)];
   const std::size_t i = window_find(peer, seq);
   assert(i != SIZE_MAX);
-  UnackedHot& u = slab_hot_[peer[i].slot];
+  UnackedHot& u = slab_[peer[i].slot].hot;
   des::Duration delay = u.rto;
   const double j = domain_.cfg_.rto_jitter;
   if (j > 0) {
@@ -266,7 +257,7 @@ void ReliableChannel::on_timer(net::NodeId dst, std::uint64_t seq) {
   auto& peer = unacked_[static_cast<std::size_t>(dst)];
   const std::size_t i = window_find(peer, seq);
   if (i == SIZE_MAX) return;  // ACKed between firing and dispatch
-  slab_hot_[peer[i].slot].timer = des::kInvalidEvent;
+  slab_[peer[i].slot].hot.timer = des::kInvalidEvent;
   expire(dst, seq);
 }
 
@@ -275,7 +266,7 @@ void ReliableChannel::expire(net::NodeId dst, std::uint64_t seq) {
   const std::size_t i = window_find(peer, seq);
   assert(i != SIZE_MAX);
   const std::uint32_t slot = peer[i].slot;
-  UnackedHot& u = slab_hot_[slot];
+  UnackedHot& u = slab_[slot].hot;
 
   if (static_cast<int>(u.attempts) - 1 >= domain_.cfg_.max_retries) {
     // Retry budget exhausted: give up recoverably.
@@ -352,7 +343,7 @@ void ReliableChannel::on_control(const net::Message& m) {
   const std::size_t i = window_find(outstanding, m.hdr.imm[0]);
   if (i == SIZE_MAX) return;  // stale (already ACKed / timed out)
   const std::uint32_t slot = outstanding[i].slot;
-  UnackedHot& u = slab_hot_[slot];
+  UnackedHot& u = slab_[slot].hot;
 
   if (m.hdr.kind == kRelNack) {
     // The receiver saw this frame arrive corrupted: retransmit right away

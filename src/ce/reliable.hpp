@@ -33,6 +33,7 @@
 #include "ce/comm_engine.hpp"
 #include "des/engine.hpp"
 #include "des/rng.hpp"
+#include "des/slab.hpp"
 #include "net/fabric.hpp"
 #include "obs/stats.hpp"
 
@@ -125,16 +126,12 @@ class ReliableChannel final : public net::LinkShim {
   std::size_t unacked() const;
 
  private:
-  // Tracked-send state lives in a per-channel slab pool, SoA-split so
-  // the RTO/timer machinery (fired on every timeout, ACK, and NACK)
-  // walks a dense hot column and never drags the ~100-byte
-  // retransmission Message copies through the cache; those sit in a
-  // parallel cold column touched only when a frame actually goes back
-  // on the wire.  Slots are free-list recycled — the former
-  // std::map<seq, Unacked> cost a node allocation per tracked send,
-  // which at fig5 scale was the last per-message allocation left on the
-  // hot path.
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  // Tracked-send state lives in a per-channel des::Slab: each slot holds
+  // the RTO/timer fields next to the retransmission copy of the message,
+  // and slots are recycled LIFO, so a tracked send allocates nothing in
+  // steady state (the former std::map<seq, Unacked> cost a node
+  // allocation per tracked send).  The slot's message is dropped on
+  // release, so an ACKed payload is freed at once.
   struct UnackedHot {
     des::Time first_sent = 0;
     std::uint32_t attempts = 1;  ///< transmissions so far
@@ -143,6 +140,10 @@ class ReliableChannel final : public net::LinkShim {
     // RTO timer handle, owned by the sending node in the DES queue so
     // the node's crash cancels it.
     des::EventId timer = des::kInvalidEvent;
+  };
+  struct Tracked {
+    UnackedHot hot;
+    net::Message msg;  ///< retransmission copy
   };
   /// One entry of a peer's send window: the tracked seq and its slab
   /// slot.  Windows stay sorted for free — seqs are assigned
@@ -182,10 +183,7 @@ class ReliableChannel final : public net::LinkShim {
   des::Rng rng_;
   std::vector<std::uint64_t> next_seq_;              ///< per peer
   std::vector<std::vector<SeqSlot>> unacked_;        ///< per peer, seq-sorted
-  std::vector<UnackedHot> slab_hot_;         ///< RTO/timer column
-  std::vector<net::Message> slab_msg_;       ///< retransmission-copy column
-  std::vector<std::uint32_t> slab_next_free_;
-  std::uint32_t slab_free_ = kNoSlot;
+  des::Slab<Tracked> slab_;
   std::vector<PeerRecv> recv_;                       ///< per peer
   std::vector<bool> peer_dead_;                      ///< fast-fail sends
   std::vector<bool> err_logged_;  ///< once-per-peer unhandled-error log

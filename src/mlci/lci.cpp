@@ -20,6 +20,20 @@ enum : std::uint16_t {
   kPut = 6,  // native one-sided put (§7 future-work feature)
 };
 
+// An operation enters its slab with its whole state and leaves it reset,
+// so a slot never carries one operation's state into the next.
+template <class T>
+std::uint64_t track(des::Slab<T>& slab, T&& op) {
+  const std::uint32_t s = slab.acquire();
+  slab[s] = std::move(op);
+  return slab.id(s);
+}
+template <class T>
+void retire(des::Slab<T>& slab, std::uint32_t s) {
+  slab[s] = T{};
+  slab.release(s);
+}
+
 }  // namespace
 
 Lci::Lci(net::Fabric& fabric, Config config) : fabric_(fabric), cfg_(config) {
@@ -122,7 +136,7 @@ Status Device::sendd(int dst, Tag tag, const void* buf, std::size_t n,
   if (buf != nullptr && n > 0) ds.payload = net::make_payload(buf, n);
 
   net::Message rts = base_message(dst, tag, kRts, n);
-  rts.hdr.imm[0] = direct_sends_.insert(std::move(ds));
+  rts.hdr.imm[0] = track(direct_sends_, std::move(ds));
   lci_.fabric_.nic(rank_).send(std::move(rts));
   return Status::Ok;
 }
@@ -158,7 +172,7 @@ Status Device::putd(int dst, Tag tag, const void* buf, std::size_t n,
   ds.comp = comp;
   ds.user_context = user_context;
   ds.seq = direct_seq_++;
-  const std::uint64_t id = direct_sends_.insert(std::move(ds));
+  const std::uint64_t id = track(direct_sends_, std::move(ds));
   lci_.fabric_.nic(rank_).send(std::move(m),
                                [this, id]() { on_direct_sent(id); });
   return Status::Ok;
@@ -273,7 +287,7 @@ void Device::try_match_rts() {
         // sender's id and the matched receive's, both echoed in DATA.
         net::Message cts = base_message(rts.src, rts.hdr.tag, kCts, 0);
         cts.hdr.imm[0] = rts.hdr.imm[0];
-        cts.hdr.imm[1] = matched_recvs_.insert(std::move(*pr));
+        cts.hdr.imm[1] = track(matched_recvs_, std::move(*pr));
         posted_direct_.erase(pr);
         lci_.fabric_.nic(rank_).send(std::move(cts));
         matched = true;
@@ -307,18 +321,23 @@ void Device::handle_cts(net::Message& m) {
 }
 
 void Device::on_direct_sent(std::uint64_t id) {
-  DirectSend* ds = direct_sends_.find(id);
-  assert(ds != nullptr && "local completion of an unknown direct send");
+  assert(direct_sends_.find(id) != nullptr &&
+         "local completion of an unknown direct send");
+  send_done(des::Slab<DirectSend>::slot_of(id));
+  notify();
+}
+
+void Device::send_done(std::uint32_t slot) {
+  const DirectSend& ds = direct_sends_[slot];
   Request req;
   req.type = Request::Type::SendDone;
-  req.peer = ds->dst;
-  req.tag = ds->tag;
-  req.size = ds->size;
-  req.user_context = ds->user_context;
+  req.peer = ds.dst;
+  req.tag = ds.tag;
+  req.size = ds.size;
+  req.user_context = ds.user_context;
   ++direct_free_;
-  hw_completions_.push_back(PendingCompletion{ds->comp, std::move(req)});
-  direct_sends_.erase(id);
-  notify();
+  hw_completions_.push_back(PendingCompletion{ds.comp, std::move(req)});
+  retire(direct_sends_, slot);
 }
 
 void Device::handle_data(net::Message& m) {
@@ -328,7 +347,7 @@ void Device::handle_data(net::Message& m) {
   DirectRecv* found = matched_recvs_.find(rid);
   assert(found != nullptr && "DATA without matched recv");
   const DirectRecv dr = *found;
-  matched_recvs_.erase(rid);
+  retire(matched_recvs_, des::Slab<DirectRecv>::slot_of(rid));
   const auto n = static_cast<std::size_t>(m.hdr.size);
   const std::size_t copied = n < dr.capacity ? n : dr.capacity;
   if (dr.buf != nullptr && m.payload != nullptr && copied > 0) {
@@ -351,35 +370,28 @@ Device::PurgeResult Device::peer_failed(int peer) {
   // defer a SendDone through the hardware CQ (the next progress() call
   // runs the handler on a real thread, mirroring the NIC-drain path), in
   // submission order.
-  std::vector<std::uint64_t> wedged =
-      direct_sends_.ids_if([peer](const DirectSend& ds) {
-        return ds.awaiting_cts && ds.dst == peer;
-      });
-  std::sort(wedged.begin(), wedged.end(),
-            [this](std::uint64_t a, std::uint64_t b) {
-              return direct_sends_.find(a)->seq < direct_sends_.find(b)->seq;
-            });
-  for (const std::uint64_t id : wedged) {
-    const DirectSend* ds = direct_sends_.find(id);
-    ++direct_free_;
-    Request req;
-    req.type = Request::Type::SendDone;
-    req.peer = ds->dst;
-    req.tag = ds->tag;
-    req.size = ds->size;
-    req.user_context = ds->user_context;
-    hw_completions_.push_back(PendingCompletion{ds->comp, std::move(req)});
-    direct_sends_.erase(id);
-    ++res.sends;
+  std::vector<std::uint32_t> wedged;
+  for (std::uint32_t s = 0; s < direct_sends_.size(); ++s) {
+    const DirectSend& ds = direct_sends_[s];
+    if (direct_sends_.live(s) && ds.awaiting_cts && ds.dst == peer) {
+      wedged.push_back(s);
+    }
   }
+  std::sort(wedged.begin(), wedged.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return direct_sends_[a].seq < direct_sends_[b].seq;
+            });
+  for (const std::uint32_t s : wedged) send_done(s);
+  res.sends = wedged.size();
   // Receives matched (CTS sent) or merely posted against the corpse: the
   // DATA never arrives, so the slot is freed and no completion fires —
   // signalling RecvDone would hand a buffer of garbage to the consumer.
-  for (const std::uint64_t id : matched_recvs_.ids_if(
-           [peer](const DirectRecv& dr) { return dr.src == peer; })) {
-    matched_recvs_.erase(id);
-    ++direct_free_;
-    ++res.recvs;
+  for (std::uint32_t s = 0; s < matched_recvs_.size(); ++s) {
+    if (matched_recvs_.live(s) && matched_recvs_[s].src == peer) {
+      retire(matched_recvs_, s);
+      ++direct_free_;
+      ++res.recvs;
+    }
   }
   for (auto it = posted_direct_.begin(); it != posted_direct_.end();) {
     if (it->src == peer) {

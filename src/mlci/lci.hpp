@@ -30,6 +30,7 @@
 
 #include "des/ring.hpp"
 #include "des/sim_thread.hpp"
+#include "des/slab.hpp"
 #include "des/time.hpp"
 #include "net/fabric.hpp"
 
@@ -223,74 +224,6 @@ class Device {
   friend class Lci;
   friend int progress(Device&);
 
-  /// Operations in flight, addressed by generation-tagged ids:
-  /// `generation << 32 | (slot + 1)`, so 0 never names a slot.  Erasing an
-  /// operation bumps its slot's generation, and a stale id misses on lookup
-  /// instead of reaching the slot's next occupant.  Slots are reused LIFO.
-  template <class T>
-  class SlotTable {
-   public:
-    using Id = std::uint64_t;
-
-    Id insert(T&& v) {
-      std::uint32_t s;
-      if (!free_.empty()) {
-        s = free_.back();
-        free_.pop_back();
-      } else {
-        s = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-      }
-      Slot& slot = slots_[s];
-      slot.value = std::move(v);
-      slot.live = true;
-      return (static_cast<Id>(slot.gen) << 32) | (static_cast<Id>(s) + 1);
-    }
-
-    /// The live operation named by `id`, or null.  Invalidated by insert.
-    T* find(Id id) {
-      const auto s = static_cast<std::uint32_t>(id) - 1;
-      if (s >= slots_.size()) return nullptr;
-      Slot& slot = slots_[s];
-      if (!slot.live || slot.gen != static_cast<std::uint32_t>(id >> 32)) {
-        return nullptr;
-      }
-      return &slot.value;
-    }
-
-    void erase(Id id) {
-      const auto s = static_cast<std::uint32_t>(id) - 1;
-      Slot& slot = slots_[s];
-      slot.value = T{};
-      slot.live = false;
-      ++slot.gen;
-      free_.push_back(s);
-    }
-
-    /// Ids of the live operations matching `pred`, in slot order.
-    template <class Pred>
-    std::vector<Id> ids_if(Pred pred) const {
-      std::vector<Id> out;
-      for (std::size_t s = 0; s < slots_.size(); ++s) {
-        const Slot& slot = slots_[s];
-        if (slot.live && pred(slot.value)) {
-          out.push_back((static_cast<Id>(slot.gen) << 32) |
-                        (static_cast<Id>(s) + 1));
-        }
-      }
-      return out;
-    }
-
-   private:
-    struct Slot {
-      T value{};
-      std::uint32_t gen = 0;
-      bool live = false;
-    };
-    std::vector<Slot> slots_;
-    std::vector<std::uint32_t> free_;
-  };
-
   struct DirectRecv {
     int src = -1;
     Tag tag = 0;
@@ -300,7 +233,7 @@ class Device {
     void* user_context = nullptr;
   };
   /// A Direct send or native put from submission to local completion.
-  /// Its table id travels in RTS/CTS/DATA, and the NIC's sent handler
+  /// Its slab id travels in RTS/CTS/DATA, and the NIC's sent handler
   /// captures only the device and the id.
   struct DirectSend {
     int dst = -1;
@@ -333,6 +266,9 @@ class Device {
   void handle_put(net::Message& m);
   /// The NIC finished a Direct DATA or native put: local completion.
   void on_direct_sent(std::uint64_t id);
+  /// Frees the Direct send in `slot` and queues its SendDone on the
+  /// hardware CQ.
+  void send_done(std::uint32_t slot);
 
   class Lci& lci_;
   int rank_;
@@ -347,8 +283,11 @@ class Device {
   des::Ring<PendingCompletion> hw_completions_;  ///< local send CQ
   std::vector<DirectRecv> posted_direct_;      ///< posted Direct receives
   des::Ring<net::Message> pending_rts_;        ///< RTS awaiting a recvd
-  SlotTable<DirectSend> direct_sends_;         ///< sends + puts in flight
-  SlotTable<DirectRecv> matched_recvs_;        ///< CTS sent, DATA pending
+  // Operations in flight, named on the wire by slab ids; a stale id
+  // misses instead of reaching its slot's next occupant.  A slot is reset
+  // when its operation ends.
+  des::Slab<DirectSend> direct_sends_;         ///< sends + puts in flight
+  des::Slab<DirectRecv> matched_recvs_;        ///< CTS sent, DATA pending
   std::uint64_t direct_seq_ = 0;
   std::function<void()> notifier_;
 

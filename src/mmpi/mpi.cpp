@@ -49,26 +49,10 @@ std::uint64_t Rank::next_seq(int dst) {
 // Request table
 
 Rank::Request& Rank::alloc_request() {
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Request& r = slots_[slot];
-  r.id = (static_cast<RequestId>(r.gen) << 32) | (RequestId{slot} + 1);
+  const std::uint32_t slot = requests_.acquire();
+  Request& r = requests_[slot];
+  r.id = requests_.id(slot);
   return r;
-}
-
-Rank::Request* Rank::find(RequestId id) {
-  // kNullRequest wraps to slot 0xFFFFFFFF and misses.  A free slot's
-  // generation is one no id has been issued with yet, so every id misses.
-  const std::uint32_t slot = static_cast<std::uint32_t>(id) - 1u;
-  if (slot >= slots_.size()) return nullptr;
-  Request& r = slots_[slot];
-  return r.gen == static_cast<std::uint32_t>(id >> 32) ? &r : nullptr;
 }
 
 void Rank::mark_complete(Request& r) {
@@ -88,11 +72,9 @@ void Rank::report(Request& r) {
 
 void Rank::release(Request& r) {
   if (r.state == Request::State::Complete) --unreported_;
-  const std::uint32_t gen = r.gen + 1;
-  const auto slot = static_cast<std::uint32_t>(&r - slots_.data());
+  const std::uint32_t slot = des::Slab<Request>::slot_of(r.id);
   r = Request{};  // drops a staged payload now, not at slot reuse
-  r.gen = gen;
-  free_slots_.push_back(slot);
+  requests_.release(slot);
 }
 
 void Rank::charge_thread_switch() {
@@ -489,9 +471,9 @@ std::size_t Rank::purge_peer(int peer) {
   unexpected_.erase_if(from_peer);
 
   std::size_t cancelled = 0;
-  for (Request& r : slots_) {
-    // Free slots are reset to Inactive and never match.
-    if (r.state != Request::State::Active) continue;
+  for (std::uint32_t s = 0; s < requests_.size(); ++s) {
+    Request& r = requests_[s];
+    if (!requests_.live(s) || r.state != Request::State::Active) continue;
     // Wildcard receives stay posted — another rank can still match.
     const bool doomed =
         (r.kind == Request::Kind::Send && r.dst == peer) ||

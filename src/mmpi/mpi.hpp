@@ -27,6 +27,7 @@
 
 #include "des/ring.hpp"
 #include "des/sim_thread.hpp"
+#include "des/slab.hpp"
 #include "des/time.hpp"
 #include "net/fabric.hpp"
 
@@ -36,9 +37,9 @@ namespace mmpi {
 inline constexpr int kAnySource = -1;
 
 using Tag = std::uint64_t;
-/// Request handle: `generation << 32 | (slot + 1)` in the owning rank's
-/// request table.  A slot's generation is bumped when its request is
-/// freed, so ids of freed requests never reach the slot's next occupant.
+/// Request handle: the des::Slab id (`generation << 32 | (slot + 1)`) of
+/// the request in its owning rank's table, so ids of freed requests never
+/// reach the slot's next occupant.
 using RequestId = std::uint64_t;
 inline constexpr RequestId kNullRequest = 0;
 
@@ -195,21 +196,19 @@ class Rank {
     /// For persistent sends re-issued through isend(): the persistent
     /// request whose completion mirrors this temporary one.
     RequestId imm_alias = kNullRequest;
-    std::uint32_t gen = 0;  ///< id generation; bumped on release
   };
 
   /// Takes a free slot (or grows the table) and returns its request,
-  /// reset, with its id assigned.  May move every slot: callers
-  /// must not hold a Request& across it.
+  /// reset, with its id assigned.
   Request& alloc_request();
   /// The live request `id` names, or null (kNullRequest, stale, unknown).
-  Request* find(RequestId id);
+  Request* find(RequestId id) { return requests_.find(id); }
   /// Marks `r` Complete, counting it as not yet reported.
   void mark_complete(Request& r);
   /// Hands a Complete request to the caller: persistent ones go Inactive,
   /// ordinary ones are freed.
   void report(Request& r);
-  /// Frees `r`'s slot and bumps its generation.
+  /// Resets `r` and frees its slot, so `r.id` stops resolving.
   void release(Request& r);
   void cancel_request(Request& r);
 
@@ -231,8 +230,7 @@ class Rank {
   std::vector<RequestId> posted_recvs_;     ///< posted-receive queue (FIFO)
   des::Ring<net::Message> unexpected_;      ///< unexpected-message queue
   std::vector<std::uint64_t> send_seq_;     ///< next seq, by destination
-  std::vector<Request> slots_;              ///< request table
-  std::vector<std::uint32_t> free_slots_;   ///< LIFO: warm slots first
+  des::Slab<Request> requests_;             ///< request table
   /// Live requests that are Complete but not yet reported by test or
   /// testsome.  While it is 0, testsome has nothing to find.
   std::size_t unreported_ = 0;

@@ -156,6 +156,14 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
 void Fabric::fire_crash(NodeId node) {
   ++fault_stats_.crashes;
   const std::size_t n = eng_.cancel_owner(shard_of(node));
+  // Every delivery still parked at the node belonged to one of the events
+  // just cancelled, so nothing will dispatch it: free its slot and payload.
+  des::Slab<Message>& parked = nic(node).deliveries_;
+  for (std::uint32_t s = 0; s < parked.size(); ++s) {
+    if (!parked.live(s)) continue;
+    parked[s] = Message{};
+    parked.release(s);
+  }
   obs::FlightRecorder::global().record(node, obs::FlightKind::Crash,
                                        eng_.now(), 0, n);
   fault_stats_.crash_cancelled_events += n;
@@ -254,24 +262,17 @@ void Fabric::set_recorder(obs::Recorder* rec) {
 
 std::uint32_t Fabric::acquire_delivery(Nic& dst, Message&& m) {
   // Per-destination pool: the slot lives with the node that will consume
-  // it (see Nic for the SoA layout).
-  std::uint32_t slot = dst.delivery_free_;
-  if (slot != Nic::kNoDelivery) {
-    dst.delivery_free_ = dst.delivery_next_free_[slot];
-  } else {
-    slot = static_cast<std::uint32_t>(dst.delivery_slots_.size());
-    dst.delivery_slots_.emplace_back();
-    dst.delivery_next_free_.push_back(Nic::kNoDelivery);
-  }
-  dst.delivery_slots_[slot] = std::move(m);
+  // it, and a crash of that node releases what its cancelled events held.
+  const std::uint32_t slot = dst.deliveries_.acquire();
+  dst.deliveries_[slot] = std::move(m);
   return slot;
 }
 
 void Fabric::deliver_and_release(Nic& dst, std::uint32_t slot) {
-  Message msg = std::move(dst.delivery_slots_[slot]);  // slot's payload ref
-                                                       // is null afterwards
-  dst.delivery_next_free_[slot] = dst.delivery_free_;
-  dst.delivery_free_ = slot;  // recycled before dispatch: nested sends reuse it
+  // Recycled before dispatch, so nested sends reuse the slot; the
+  // moved-from slot holds no payload reference.
+  Message msg = std::move(dst.deliveries_[slot]);
+  dst.deliveries_.release(slot);
   dst.dispatch(std::move(msg));
 }
 

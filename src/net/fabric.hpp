@@ -25,6 +25,7 @@
 
 #include "des/engine.hpp"
 #include "des/rng.hpp"
+#include "des/slab.hpp"
 #include "des/time.hpp"
 #include "net/config.hpp"
 #include "net/message.hpp"
@@ -142,19 +143,12 @@ class Nic {
   NicStats stats_;
   des::Time egress_free_ = 0;
   des::Time ingress_free_ = 0;
-  // This node's in-flight delivery pool: an incoming message parks in a
+  // This node's in-flight deliveries: an incoming message parks in a
   // slot between schedule and dispatch, so the event closure captures
-  // (Nic*, slot index) — always inline in des::InplaceCallback — instead
-  // of a whole Message.  SoA index pool rather than a vector of
-  // heap-allocated records: the Message slots sit contiguously in ONE
-  // allocation per node (two cache-resident vectors instead of a pointer
-  // chase per message), indices stay stable across growth, and the free
-  // list is a parallel index column.  Slots are recycled free-list-first,
-  // so steady-state allocation per message is zero.
-  static constexpr std::uint32_t kNoDelivery = 0xFFFFFFFFu;
-  std::vector<Message> delivery_slots_;
-  std::vector<std::uint32_t> delivery_next_free_;
-  std::uint32_t delivery_free_ = kNoDelivery;
+  // (Nic*, slot) — always inline in des::InplaceCallback — instead of a
+  // whole Message.  Slots are recycled LIFO, so steady-state allocation
+  // per message is zero.
+  des::Slab<Message> deliveries_;
 };
 
 class Fabric {

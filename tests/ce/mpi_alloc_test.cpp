@@ -135,17 +135,17 @@ std::uint64_t fingerprint_run_allocs(ce::BackendKind backend,
   return allocs;
 }
 
-// The bounds are the counts this code makes (1.67 and 1.70 per fabric
+// The bounds are the counts this code makes (1.65 and 1.68 per fabric
 // message, mostly set-up) when the test runs alone, as ctest runs it, so
 // any added allocation fails.  EXPERIMENTS.md records the counts of the
 // earlier designs.
 TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 4'447;
+  constexpr std::uint64_t kMaxAllocs = 4'410;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Mpi, 2671), kMaxAllocs);
 }
 
 TEST(LciAlloc, FingerprintRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 4'540;
+  constexpr std::uint64_t kMaxAllocs = 4'490;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 2674), kMaxAllocs);
 }
 

@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "des/event_queue.hpp"
-#include "des/heap_slab_queue.hpp"
 #include "des/rng.hpp"
+#include "oracle/heap_slab_queue.hpp"
 
 namespace {
 

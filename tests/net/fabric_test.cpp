@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "des/engine.hpp"
@@ -183,6 +184,33 @@ TEST(Fabric, LoopbackAndNicPathsAgreeOnSentSemantics) {
   // egress pipe, so the wire send's egress starts at t=0 too.)
   EXPECT_EQ(wire_sent, fab.occupancy(bytes));
   EXPECT_LT(wire_sent, wire_delivered);
+}
+
+TEST(Fabric, CrashReleasesPayloadsOfCancelledDeliveries) {
+  Engine eng;
+  FabricConfig cfg = simple_config();
+  // Two 10 us frames race to node 1 and both arrive at 11 us; the second
+  // waits out the first in node 1's ingress pipe and is due at 21 us.
+  // Node 1 dies at 15 us, which cancels that delivery.
+  cfg.faults.crashes.push_back(net::CrashEvent{1, 15 * des::kMicrosecond, 0});
+  Fabric fab(eng, 3, cfg);
+  int delivered = 0;
+  fab.nic(1).set_deliver_handler([&](Message&&) { ++delivered; });
+  const net::PayloadPtr first =
+      std::make_shared<const std::vector<std::byte>>(64, std::byte{1});
+  const net::PayloadPtr second =
+      std::make_shared<const std::vector<std::byte>>(64, std::byte{2});
+  Message a = msg(0, 1, 100000);
+  a.payload = first;
+  Message b = msg(2, 1, 100000);
+  b.payload = second;
+  fab.nic(0).send(std::move(a));
+  fab.nic(2).send(std::move(b));
+  eng.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(fab.fault_stats().crash_cancelled_events, 1u);
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(second.use_count(), 1) << "cancelled delivery still pins it";
 }
 
 TEST(Fabric, FatTreeHops) {
