@@ -144,7 +144,10 @@ class HeapSlabQueue {
     }
     compact();
   }
-  void compact() {
+  // The cold paths (compact, heap_rebuild) stay out of line, as they were
+  // when the queue had its own .cpp: inlined into the hot paths they
+  // change the baseline perf_core's ratio guards were recorded against.
+  [[gnu::noinline]] void compact() {
     std::erase_if(heap_, [this](const Entry& e) { return !entry_live(e); });
     heap_rebuild();
   }
@@ -197,7 +200,7 @@ class HeapSlabQueue {
     if (!heap_.empty()) sift_down(0);
   }
 
-  void heap_rebuild() {
+  [[gnu::noinline]] void heap_rebuild() {
     if (heap_.size() < 2) return;
     for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {
       sift_down(i);
