@@ -2,21 +2,52 @@
 //
 // Each row pins the EXACT time-to-solution, message count, byte count,
 // and critical-path finish of a small model-mode TLR-Cholesky run under
-// the default two-level fabric preset.  These values were captured from
-// the pre-topology build; the event queue, per-node delivery slabs, and
-// fat-tree plumbing must all reproduce them to the last bit
-// — any drift here means a published figure silently changed.
+// the default two-level fabric preset; the Fig5 and crash rows also pin
+// the latency and lifecycle-stage histograms (LatencyPin).  The schedule
+// values were captured from the pre-topology build; the event queue,
+// per-node delivery slabs, and fat-tree plumbing must all reproduce them
+// to the last bit — any drift here means a published figure silently
+// changed.
 //
 // If a deliberate model change invalidates these rows, re-capture them
 // in the same commit and say so in the commit message.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
+#include "amt/config.hpp"
 #include "hicma/driver.hpp"
 #include "net/config.hpp"
 
 namespace {
+
+// The measured intervals of a run, which the schedule pins above them do
+// not reach: a swapped send_ts/root_ts or a stage stamped at the wrong
+// point leaves TTS and message counts alone but moves these.
+struct LatencyPin {
+  std::uint64_t count;
+  double e2e_mean;
+  double e2e_p50;
+  double e2e_p99;
+  double hop_mean;
+  std::array<std::uint64_t, amt::kNumStages> stage_count;
+  std::array<double, amt::kNumStages> stage_sum;
+};
+
+void expect_latency(const amt::NodeStats& s, const LatencyPin& pin) {
+  EXPECT_EQ(s.latency.count(), pin.count);
+  EXPECT_EQ(s.latency.e2e_mean_ns(), pin.e2e_mean);
+  EXPECT_EQ(s.latency.e2e_p50_ns(), pin.e2e_p50);
+  EXPECT_EQ(s.latency.e2e_p99_ns(), pin.e2e_p99);
+  EXPECT_EQ(s.latency.hop_mean_ns(), pin.hop_mean);
+  for (std::size_t i = 0; i < pin.stage_sum.size(); ++i) {
+    SCOPED_TRACE(amt::kStageNames[i]);
+    EXPECT_EQ(s.stages.h[i].count(), pin.stage_count[i]);
+    EXPECT_EQ(s.stages.h[i].sum(), pin.stage_sum[i]);
+  }
+}
 
 struct Fingerprint {
   int nodes;
@@ -26,25 +57,64 @@ struct Fingerprint {
   std::uint64_t msgs;
   std::uint64_t bytes;
   std::int64_t crit;
+  LatencyPin lat;
 };
 
 constexpr Fingerprint kExpected[] = {
     {4, ce::BackendKind::Lci, false, 2.688176066, 1474, 993860329,
-     2688176066},
+     2688176066,
+     {253, 1015554.2332015811, 143652.57142857142, 6994987.0, 1008290.0,
+      {253, 253, 253, 253, 253, 253, 253, 253, 442},
+      {0.0, 1837851.0, 4061654.0, 0.0, 0.0, 42885743.0, 208149973.0,
+       5949000.0, -3222782302.0}}},
     {4, ce::BackendKind::Lci, true, 2.7107365540000004, 1518, 993863233,
-     2710732339},
+     2710732339,
+     {253, 922149.41501976282, 138035.20000000001, 6985045.0,
+      922149.41501976282,
+      {253, 253, 253, 253, 253, 253, 253, 253, 442},
+      {0.0, 0.0, 8213530.0, 0.0, 0.0, 16365577.0, 208724695.0, 5949000.0,
+       -2785946108.0}}},
     {4, ce::BackendKind::Mpi, false, 2.7108171470000002, 1470, 993860065,
-     2710817147},
+     2710817147,
+     {253, 1104608.4584980237, 202524.44444444444, 7427413.333333333,
+      1093463.2015810276,
+      {253, 253, 253, 253, 253, 253, 253, 253, 442},
+      {0.0, 2819750.0, 7312320.0, 0.0, 0.0, 13380938.0, 255952932.0,
+       5949000.0, -2786479179.0}}},
     {4, ce::BackendKind::Mpi, true, 2.7108881970000001, 1518, 993863233,
-     2710876682},
+     2710876682,
+     {253, 1064866.976284585, 193003.51999999999, 7261388.7999999998,
+      1064866.976284585,
+      {253, 253, 253, 253, 253, 253, 253, 253, 442},
+      {0.0, 0.0, 7476019.0, 0.0, 0.0, 8177313.0, 253758013.0, 5949000.0,
+       -2785812500.0}}},
     {8, ce::BackendKind::Lci, false, 2.5041015840000003, 2674, 1145289249,
-     2504101584},
+     2504101584,
+     {453, 917409.51434878586, 221790.8148148148, 6601262.5454545459,
+      638032.42604856507,
+      {453, 453, 453, 453, 453, 453, 453, 453, 442},
+      {120481070.0, 6076751.0, 23327201.0, 0.0, 0.0, 23274631.0,
+       242426857.0, 9579000.0, 14594142.0}}},
     {8, ce::BackendKind::Lci, true, 2.6315685360000001, 2718, 1145292153,
-     2631564321},
+     2631564321,
+     {453, 1186545.0816777041, 207920.76190476189, 6644473.0,
+      781233.9227373068,
+      {453, 453, 453, 453, 453, 453, 453, 453, 442},
+      {183605955.0, 0.0, 15445970.0, 0.0, 0.0, 60331730.0, 278121267.0,
+       9579000.0, -865072482.0}}},
     {8, ce::BackendKind::Mpi, false, 2.5595929630000001, 2671, 1145289051,
-     2559592963},
+     2559592963,
+     {453, 868239.27593818982, 303104.0, 6619136.0, 605105.32229580579,
+      {453, 453, 453, 453, 453, 453, 453, 453, 442},
+      {111040207.0, 8159474.0, 26191948.0, 0.0, 0.0, 14593627.0,
+       233327136.0, 9579000.0, -2476351671.0}}},
     {8, ce::BackendKind::Mpi, true, 2.4638495120000004, 2718, 1145292153,
-     2463837997},
+     2463837997,
+     {453, 1346475.5452538631, 303104.0, 7156531.2000000002,
+      862215.72185430466,
+      {453, 453, 453, 453, 453, 453, 453, 453, 442},
+      {219369700.0, 0.0, 21337010.0, 0.0, 0.0, 17441087.0, 351805625.0,
+       9579000.0, -1694485875.0}}},
 };
 
 TEST(Fingerprint, Fig5PipelineIsBitIdenticalToBaseline) {
@@ -69,6 +139,7 @@ TEST(Fingerprint, Fig5PipelineIsBitIdenticalToBaseline) {
     EXPECT_EQ(res.fabric_messages, fp.msgs);
     EXPECT_EQ(res.fabric_bytes, fp.bytes);
     EXPECT_EQ(res.runtime_stats.crit.finish_g, fp.crit);
+    expect_latency(res.runtime_stats, fp.lat);
   }
 }
 
@@ -138,6 +209,15 @@ TEST(Fingerprint, CrashRecoveryIsBitIdenticalToBaseline) {
   EXPECT_EQ(res.tts_s, 3.1027536840000001);
   EXPECT_EQ(res.fabric_messages, 37042u);
   EXPECT_EQ(cancelled->value(), 15u);
+  // Re-announced flows restart root_ts at the serving node, so the
+  // recovered run's latencies pin the recovery legs as well.
+  constexpr LatencyPin kCrashLatency = {
+      536, 1640731.9179104478, 283741.09090909088, 12845056.0,
+      1259595.4645522388,
+      {536, 536, 536, 536, 536, 536, 536, 536, 464},
+      {197309231.0, 6979908.0, 81582374.0, 0.0, 0.0, 124190111.0,
+       469370684.0, 11172000.0, 4724792125.0}};
+  expect_latency(res.runtime_stats, kCrashLatency);
 }
 
 // The MPI backend with its transfer cap squeezed to 2: puts find no array
