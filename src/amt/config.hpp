@@ -204,8 +204,8 @@ struct StageLats {
 /// Running weighted-path sums along one dependency chain.  Shipped inside
 /// ActivationRecords so the longest path is computed streaming, O(1) per
 /// task, instead of materializing the task DAG: the invariant is
-/// total() == the chain head's finish time on the global clock, so the
-/// chain ending at the globally last-finishing task IS the critical path.
+/// total() == the chain head's finish time, so the chain ending at the
+/// last-finishing task IS the critical path.
 struct PathSums {
   des::Duration compute = 0;   ///< task-body time on the path
   des::Duration comm = 0;      ///< remote-delivery gaps on the path
@@ -222,7 +222,7 @@ static_assert(sizeof(PathSums) == 32, "PathSums must pack without padding");
 /// maximum, so merging per-node results in rank order is deterministic.
 struct CriticalPath {
   bool seen = false;
-  des::Time finish_g = 0;  ///< global-clock finish time of the last task
+  des::Time finish_g = 0;  ///< finish time of the last task
   PathSums sums;
   TaskKey last;            ///< the chain's final task
 
@@ -239,7 +239,8 @@ struct CriticalPath {
   }
 };
 
-/// Per-node runtime counters.
+/// The runtime's counters and histograms: one record per run, which every
+/// node records into.
 struct NodeStats {
   std::uint64_t tasks_executed = 0;
   std::uint64_t activations_sent = 0;      ///< activation records
@@ -256,13 +257,10 @@ struct NodeStats {
   std::uint64_t fetches_abandoned = 0;     ///< pending fetches on a dead peer
   std::uint64_t reannounces = 0;           ///< flows re-served from the cache
   LatencyStats latency;
-  /// Phase breakdown of the end-to-end path: activate-processed -> GET
-  /// DATA sent (fetch_wait), and GET DATA sent -> data arrival (transfer).
-  obs::Histogram fetch_wait;
-  obs::Histogram transfer;
   /// Full lifecycle-stage decomposition (tentpole of the tracing layer).
   StageLats stages;
-  /// Longest weighted dependency chain ending on this node.
+  /// Longest weighted dependency chain; Runtime::aggregate_stats fills it
+  /// in from the per-node paths.
   CriticalPath crit;
 };
 

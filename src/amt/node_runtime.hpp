@@ -31,8 +31,6 @@
 #include "des/poll_loop.hpp"
 #include "des/sim_thread.hpp"
 #include "des/slab.hpp"
-#include "net/clock_sync.hpp"
-#include "net/fabric.hpp"
 #include "amt/config.hpp"
 #include "amt/lineage.hpp"
 #include "amt/pools.hpp"
@@ -44,12 +42,12 @@ namespace amt {
 
 class NodeRuntime {
  public:
-  /// `ft` is the runtime-wide fault state; null disables fault tolerance
-  /// entirely (the fault-free hot path is then byte-identical to the
-  /// pre-recovery runtime).
-  NodeRuntime(des::Engine& engine, net::Fabric& fabric, int rank,
-              ce::CommEngine& comm, TaskGraphDef& def,
-              const RuntimeConfig& cfg, const net::GlobalClock& clock,
+  /// `stats` is the run's one record, shared by every node.  `ft` is the
+  /// runtime-wide fault state; null disables fault tolerance entirely
+  /// (the fault-free hot path is then byte-identical to the pre-recovery
+  /// runtime).
+  NodeRuntime(des::Engine& engine, int rank, ce::CommEngine& comm,
+              TaskGraphDef& def, const RuntimeConfig& cfg, NodeStats& stats,
               FaultState* ft = nullptr);
   ~NodeRuntime();
   NodeRuntime(const NodeRuntime&) = delete;
@@ -59,8 +57,9 @@ class NodeRuntime {
   /// tasks.
   void start();
 
-  const NodeStats& stats() const { return stats_; }
   int rank() const { return rank_; }
+  /// Longest weighted dependency chain ending on this node.
+  const CriticalPath& crit() const { return crit_; }
 
   /// Timeline-probe introspection: tasks released but not yet dispatched,
   /// announced flows still awaiting arrival, and GET DATAs on the wire.
@@ -108,7 +107,7 @@ class NodeRuntime {
     // Critical-path bookkeeping: the chain sums of the latest delivery so
     // far (the trigger input — the one whose release lets the task run).
     PathSums in_sums;
-    des::Time release_g = 0;  ///< latest input release (global)
+    des::Time release_g = 0;  ///< latest input release
     bool has_sums = false;
   };
   /// Heap entry of the ready queue; the task itself waits in its slot.
@@ -195,30 +194,28 @@ class NodeRuntime {
   void wake_comm();
 
   // --- tracing / stage instrumentation ----------------------------------
-  /// Local-clock "now" including CPU time charged so far by the current
-  /// work item.  Charges don't advance sim time, so this is the stamp
-  /// that sequences sub-steps within one callback correctly.
-  des::Time charged_local_now() const;
-  des::Time charged_global_now() const;
+  /// "Now" including CPU time charged so far by the current work item.
+  /// Charges don't advance sim time, so this is the stamp that sequences
+  /// sub-steps within one callback correctly.
+  des::Time charged_now() const;
   /// Fresh causal identity for one message leg of `flow`: the trace id
   /// names the flow (stable across hops), the span id this leg.
   wire::TraceCtx new_ctx(const FlowKey& flow);
-  /// Records the telescoping stage samples for one delivered record.  All
-  /// timestamps are global-clock; consecutive stages share endpoints, so
-  /// the seven e2e stages sum exactly to `end_g - root_g` — the same
-  /// quantity LatencyStats::e2e records for this flow.
-  void record_stages(const wire::ActivationRecord& rec, des::Time reached_g,
-                     des::Time activated_g, des::Time requested_g,
-                     des::Time put_g, des::Time end_g);
+  /// Records the telescoping stage samples for one delivered record.
+  /// Consecutive stages share endpoints, so the seven e2e stages sum
+  /// exactly to `end - rec.root_ts` — the same quantity LatencyStats::e2e
+  /// records for this flow.
+  void record_stages(const wire::ActivationRecord& rec, des::Time reached,
+                     des::Time activated, des::Time requested, des::Time put,
+                     des::Time end);
 
   des::Engine& eng_;
-  net::Fabric& fabric_;
   int rank_;
   ce::CommEngine& comm_;
   TaskGraphDef& def_;
   const RuntimeConfig& cfg_;
-  const net::GlobalClock& clock_;
-  NodeStats stats_;
+  NodeStats& stats_;
+  CriticalPath crit_;
 
   // Scheduler state.  Task states and pending fetches live in slabs found
   // through flat indexes (neither is ever iterated in an order that

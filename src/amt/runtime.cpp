@@ -10,13 +10,8 @@
 namespace amt {
 
 Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
-                 ce::CommWorld& comm, TaskGraphDef& def, RuntimeConfig cfg,
-                 net::GlobalClock clock)
-    : eng_(engine), def_(def), cfg_(std::move(cfg)),
-      clock_(std::move(clock)) {
-  if (clock_.offsets().empty()) {
-    clock_ = net::GlobalClock::identity(fabric.num_nodes());
-  }
+                 ce::CommWorld& comm, TaskGraphDef& def, RuntimeConfig cfg)
+    : eng_(engine), def_(def), cfg_(std::move(cfg)) {
   if (cfg_.ft.enabled) {
     ft_ = std::make_unique<FaultState>(def_, cfg_.ft);
     ft_->node_dead.assign(static_cast<std::size_t>(fabric.num_nodes()), 0);
@@ -24,7 +19,7 @@ Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
   nodes_.reserve(static_cast<std::size_t>(fabric.num_nodes()));
   for (int r = 0; r < fabric.num_nodes(); ++r) {
     nodes_.push_back(std::make_unique<NodeRuntime>(
-        engine, fabric, r, comm.engine(r), def, cfg_, clock_, ft_.get()));
+        engine, r, comm.engine(r), def, cfg_, stats_, ft_.get()));
   }
   if (ft_ != nullptr) {
     // Detection source: failure-detector verdicts when the comm world has
@@ -251,35 +246,14 @@ void Runtime::on_peer_dead(int dead_rank) {
 }
 
 NodeStats Runtime::aggregate_stats() const {
-  NodeStats total;
-  for (const auto& n : nodes_) {
-    const NodeStats& s = n->stats();
-    total.tasks_executed += s.tasks_executed;
-    total.activations_sent += s.activations_sent;
-    total.activate_ams += s.activate_ams;
-    total.getdata_sent += s.getdata_sent;
-    total.getdata_deferred += s.getdata_deferred;
-    total.data_arrivals += s.data_arrivals;
-    total.forwards += s.forwards;
-    total.tasks_reexecuted += s.tasks_reexecuted;
-    total.dup_completions_suppressed += s.dup_completions_suppressed;
-    total.dup_inputs_dropped += s.dup_inputs_dropped;
-    total.stale_activations += s.stale_activations;
-    total.fetches_abandoned += s.fetches_abandoned;
-    total.reannounces += s.reannounces;
-    total.latency.merge(s.latency);
-    total.fetch_wait.merge(s.fetch_wait);
-    total.transfer.merge(s.transfer);
-    total.stages.merge(s.stages);
-    total.crit.merge(s.crit);
-  }
+  NodeStats total = stats_;
+  // Rank order keeps CriticalPath's first-maximum tie rule deterministic.
+  for (const auto& n : nodes_) total.crit.merge(n->crit());
   return total;
 }
 
 std::uint64_t Runtime::total_tasks_executed() const {
-  std::uint64_t n = 0;
-  for (const auto& node : nodes_) n += node->stats().tasks_executed;
-  return n;
+  return stats_.tasks_executed;
 }
 
 des::Duration Runtime::total_worker_busy() const {

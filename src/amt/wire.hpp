@@ -42,9 +42,9 @@ struct ActivationRecord {
   std::uint64_t size = 0;      ///< data bytes to fetch
   std::int32_t src_rank = -1;  ///< who holds the data (tree parent)
   double priority = 0.0;
-  des::Time root_ts = 0;       ///< multicast-root send time (local clock)
-  des::Time enqueue_ts = 0;    ///< when this hop queued the record (local)
-  des::Time send_ts = 0;       ///< this hop's send time (local clock)
+  des::Time root_ts = 0;       ///< multicast-root send time
+  des::Time enqueue_ts = 0;    ///< when this hop queued the record
+  des::Time send_ts = 0;       ///< this hop's send time
   std::uint8_t real = 0;       ///< 1 = data has real bytes (receiver
                                ///< allocates a real buffer)
   TraceCtx trace;              ///< causal identity of this ACTIVATE leg
@@ -144,13 +144,13 @@ struct GetDataMsg {
   FlowKey flow;
   std::uint64_t rbase = 0;  ///< requester's registration (0 = virtual)
   std::uint64_t rsize = 0;
-  des::Time send_ts = 0;    ///< requester's GET DATA send time (local clock)
+  des::Time send_ts = 0;    ///< requester's GET DATA send time
   TraceCtx trace;           ///< causal identity of this GET DATA leg
 };
 
 struct DataArrivedMsg {
   FlowKey flow;
-  des::Time put_ts = 0;     ///< holder's put-issue time (local clock)
+  des::Time put_ts = 0;     ///< holder's put-issue time
   TraceCtx trace;           ///< causal identity of the data leg
 };
 

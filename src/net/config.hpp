@@ -98,11 +98,6 @@ struct FabricConfig {
   des::Duration loopback_latency = 400;
   double loopback_bandwidth_Bps = 40e9;
 
-  /// Clock skew injection: each node's local clock is offset by a value
-  /// uniform in [-clock_skew_max, +clock_skew_max] (0 disables).
-  des::Duration clock_skew_max = 0;
-  std::uint64_t clock_seed = 0x5eed;
-
   /// Hierarchical topology (see TopologyConfig).  Defaults to the
   /// legacy fixed-latency two-level hop model; setting
   /// `topology.explicit_links` routes cross-leaf traffic over per-link

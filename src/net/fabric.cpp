@@ -66,8 +66,6 @@ void validate(const FabricConfig& cfg) {
                      static_cast<double>(cfg.per_hop_latency));
   check_non_negative("loopback_latency",
                      static_cast<double>(cfg.loopback_latency));
-  check_non_negative("clock_skew_max",
-                     static_cast<double>(cfg.clock_skew_max));
   if (cfg.nodes_per_switch < 1) {
     reject("nodes_per_switch", cfg.nodes_per_switch);
   }
@@ -124,14 +122,6 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
   nics_.reserve(static_cast<std::size_t>(num_nodes));
   for (NodeId n = 0; n < num_nodes; ++n) {
     nics_.emplace_back(std::unique_ptr<Nic>(new Nic(*this, n)));
-  }
-  skew_.resize(static_cast<std::size_t>(num_nodes), 0);
-  if (cfg_.clock_skew_max > 0) {
-    des::Rng rng(des::derive_seed(cfg_.clock_seed, 0xC10C));
-    for (auto& s : skew_) {
-      const double max = static_cast<double>(cfg_.clock_skew_max);
-      s = static_cast<des::Duration>(rng.uniform(-max, max));
-    }
   }
   // Fail-stop crash schedule: per-node windows for the hot-path drop
   // tests, plus crash/restart control events.  Control events are owned

@@ -185,16 +185,6 @@ class Fabric {
   /// Pipe occupancy of one message: max(serialization, message-rate gap).
   des::Duration occupancy(std::uint64_t bytes) const;
 
-  /// The node's local clock reading (global time + injected skew).
-  des::Time local_clock(NodeId node) const {
-    return eng_.now() + skew_.at(static_cast<std::size_t>(node));
-  }
-
-  /// The injected (ground-truth) skew of a node's clock.
-  des::Duration true_skew(NodeId node) const {
-    return skew_.at(static_cast<std::size_t>(node));
-  }
-
   /// Frames that entered the wire, including fault-injected duplicates —
   /// so with faults on, total_messages() == delivered + fault drops.
   std::uint64_t total_messages() const { return total_msgs_; }
@@ -289,7 +279,6 @@ class Fabric {
   FabricConfig cfg_;
   Topology topo_;
   std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<des::Duration> skew_;
   obs::Recorder* rec_ = nullptr;
   // Cached handles into rec_ (stable: Recorder's maps are node-based),
   // refreshed by set_recorder — one null check per sample, no name lookup.

@@ -45,7 +45,8 @@ enum class FlightKind : std::uint16_t {
   FdState = 4,      ///< a: peer, b: new PeerState (0/1/2), on observer node
   RelTimeout = 5,   ///< a: dst node, b: seq; retry budget exhausted
   RelRetransmit = 6,///< a: dst node, b: seq
-  TaskDone = 7,     ///< a: task key hash, b: tasks executed so far
+  TaskDone = 7,     ///< a: task key hash, b: tasks executed so far in the
+                    ///< whole run (all nodes), not on this node
   Recovery = 8,     ///< a: dead rank; recovery pass ran on the coordinator
   RunStatus = 9,    ///< a: amt::RunStatus value at run end (non-Ok)
   Invariant = 10,   ///< a test/soak invariant fired; code: caller-defined
