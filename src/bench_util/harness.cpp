@@ -1,8 +1,12 @@
 #include "bench_util/harness.hpp"
 
 #include <cassert>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
@@ -14,22 +18,60 @@
 
 namespace bench {
 
-Reps Reps::from_env() {
-  Reps r;
-  if (const char* v = std::getenv("AMTLCE_REPS")) r.total = std::atoi(v);
-  if (const char* v = std::getenv("AMTLCE_WARMUP")) r.warmup = std::atoi(v);
-  if (r.total < 1) r.total = 1;
-  if (r.warmup < 0) r.warmup = 0;  // a negative warm-up discards nothing
-  if (r.warmup >= r.total) r.warmup = r.total - 1;
-  return r;
+namespace {
+
+// Scalar env readers: an unset or empty variable leaves `out` alone and
+// returns false; any other value must parse whole, or they throw.
+
+[[noreturn]] void reject_env(const char* name, const char* want,
+                             const char* v) {
+  throw std::invalid_argument(std::string(name) + " wants " + want +
+                              ", got \"" + v + "\"");
 }
 
-namespace {
+/// True when a strto* call that set `end` consumed all of `v` and did not
+/// overflow (errno cleared before the call).
+bool parsed_whole(const char* v, const char* end) {
+  return end != v && *end == '\0' && errno != ERANGE;
+}
 
 bool env_double(const char* name, double& out) {
   const char* v = std::getenv(name);
   if (!v || !*v) return false;
-  out = std::strtod(v, nullptr);
+  char* end = nullptr;
+  errno = 0;
+  const double d = std::strtod(v, &end);
+  if (!parsed_whole(v, end) || !std::isfinite(d)) {
+    reject_env(name, "a finite number", v);
+  }
+  out = d;
+  return true;
+}
+
+bool env_int(const char* name, int& out) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(v, &end, 10);
+  if (!parsed_whole(v, end) || n < INT_MIN || n > INT_MAX) {
+    reject_env(name, "an integer", v);
+  }
+  out = static_cast<int>(n);
+  return true;
+}
+
+bool env_u64(const char* name, std::uint64_t& out) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, &end, 0);
+  // strtoull negates a leading '-' instead of rejecting it.
+  if (!parsed_whole(v, end) || std::strchr(v, '-') != nullptr) {
+    reject_env(name, "a non-negative integer (decimal or 0x hex)", v);
+  }
+  out = n;
   return true;
 }
 
@@ -52,13 +94,19 @@ bool env_window(const char* name, int& node, des::Time& start,
 
 }  // namespace
 
+Reps Reps::from_env() {
+  Reps r;
+  env_int("AMTLCE_REPS", r.total);
+  env_int("AMTLCE_WARMUP", r.warmup);
+  if (r.total < 1) r.total = 1;
+  if (r.warmup < 0) r.warmup = 0;  // a negative warm-up discards nothing
+  if (r.warmup >= r.total) r.warmup = r.total - 1;
+  return r;
+}
+
 bool apply_fault_env(net::FabricConfig& cfg) {
   net::FaultConfig& f = cfg.faults;
-  bool any = false;
-  if (const char* v = std::getenv("AMTLCE_FAULT_SEED")) {
-    f.seed = std::strtoull(v, nullptr, 0);
-    any = true;
-  }
+  bool any = env_u64("AMTLCE_FAULT_SEED", f.seed);
   any |= env_double("AMTLCE_FAULT_DROP", f.drop_prob);
   any |= env_double("AMTLCE_FAULT_DUP", f.dup_prob);
   any |= env_double("AMTLCE_FAULT_CORRUPT", f.corrupt_prob);

@@ -20,7 +20,8 @@
 namespace bench {
 
 /// Repetition policy (env-overridable: AMTLCE_REPS, AMTLCE_WARMUP).
-/// Values are clamped sane: total >= 1, 0 <= warmup < total.
+/// Values are clamped sane: total >= 1, 0 <= warmup < total.  A value
+/// that is not a whole integer throws std::invalid_argument.
 struct Reps {
   int total = 3;
   int warmup = 1;
@@ -41,7 +42,8 @@ double mean_of(const Reps& reps, const std::function<double(int)>& measure);
 ///   AMTLCE_FAULT_JITTER_US   max per-message jitter, microseconds
 ///   AMTLCE_FAULT_BROWNOUT    node:start_ms:dur_ms link brownout window
 ///   AMTLCE_FAULT_STALL       node:start_ms:dur_ms NIC stall window
-/// The merged config is validated (std::invalid_argument on garbage).
+/// A value that does not parse whole, and a merged config that fails
+/// validation, throw std::invalid_argument naming the knob.
 /// Returns true when any override was applied.
 bool apply_fault_env(net::FabricConfig& cfg);
 

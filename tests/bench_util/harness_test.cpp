@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -132,6 +133,31 @@ TEST(Reps, NonPositiveTotalClampsToOne) {
   EXPECT_LT(r.warmup, r.total);
 }
 
+// Expects `read` to throw std::invalid_argument whose message names `var`
+// once `var` is set to `value`; unsets `var` afterwards.
+template <typename Read>
+void expect_rejected(const char* var, const char* value, Read read) {
+  SCOPED_TRACE(::testing::Message() << var << "=" << value);
+  ::setenv(var, value, 1);
+  try {
+    read();
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(var), std::string::npos)
+        << e.what();
+  }
+  ::unsetenv(var);
+}
+
+TEST(Reps, RejectsValuesThatAreNotWholeIntegers) {
+  EnvGuard guard;
+  const auto read = [] { (void)bench::Reps::from_env(); };
+  for (const char* bad : {"3x", "abc", "1.5", "99999999999"}) {
+    expect_rejected("AMTLCE_REPS", bad, read);
+    expect_rejected("AMTLCE_WARMUP", bad, read);
+  }
+}
+
 // -- AMTLCE_FAULT_* / AMTLCE_RELIABLE env overlays ------------------------
 
 struct FaultEnvGuard {
@@ -193,6 +219,24 @@ TEST(FaultEnv, RejectsOutOfRangeAndMalformedValues) {
   ::setenv("AMTLCE_FAULT_BROWNOUT", "not-a-window", 1);
   net::FabricConfig cfg2;
   EXPECT_THROW(bench::apply_fault_env(cfg2), std::invalid_argument);
+  ::unsetenv("AMTLCE_FAULT_BROWNOUT");
+  // Scalars must parse whole: no trailing junk, no words, no overflow.
+  const auto apply = [] {
+    net::FabricConfig c;
+    (void)bench::apply_fault_env(c);
+  };
+  for (const char* var :
+       {"AMTLCE_FAULT_DROP", "AMTLCE_FAULT_DUP", "AMTLCE_FAULT_CORRUPT",
+        "AMTLCE_FAULT_SPIKE_PROB", "AMTLCE_FAULT_SPIKE_US",
+        "AMTLCE_FAULT_JITTER_US"}) {
+    for (const char* bad : {"off", "0.01x", "nan", "1e999"}) {
+      expect_rejected(var, bad, apply);
+    }
+  }
+  for (const char* bad :
+       {"off", "12abc", "-1", "0x", "99999999999999999999999"}) {
+    expect_rejected("AMTLCE_FAULT_SEED", bad, apply);
+  }
 }
 
 TEST(FaultEnv, ReliableSwitchUnderstandsOffSpellings) {
