@@ -218,9 +218,9 @@ TEST_P(RtBackends, CriticalPathIsConsistentAndDeterministic) {
 INSTANTIATE_TEST_SUITE_P(Backends, RtBackends,
                          ::testing::Values(BackendKind::Mpi,
                                            BackendKind::Lci),
-                         [](const auto& info) {
-                           return info.param == BackendKind::Mpi ? "Mpi"
-                                                                 : "Lci";
+                         [](const auto& tp) {
+                           return tp.param == BackendKind::Mpi ? "Mpi"
+                                                               : "Lci";
                          });
 
 // Wavefront correctness sweep across sizes, node counts, and backends —
@@ -245,10 +245,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 5, 12),
                        ::testing::Values(1, 2, 3, 7),
                        ::testing::Values(BackendKind::Mpi, BackendKind::Lci)),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_nodes" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) == BackendKind::Mpi ? "_Mpi" : "_Lci");
+    [](const auto& tp) {
+      return "n" + std::to_string(std::get<0>(tp.param)) + "_nodes" +
+             std::to_string(std::get<1>(tp.param)) +
+             (std::get<2>(tp.param) == BackendKind::Mpi ? "_Mpi" : "_Lci");
     });
 
 TEST(RtPriorities, HigherPriorityTasksRunFirstOnSingleWorker) {

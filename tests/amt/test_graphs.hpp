@@ -125,7 +125,7 @@ class WavefrontGraph final : public amt::TaskGraphDef {
   int num_inputs(const TaskKey& t) const override {
     return (t.i > 0 ? 1 : 0) + (t.j > 0 ? 1 : 0);
   }
-  int num_outputs(const TaskKey& t) const override {
+  int num_outputs(const TaskKey& /*t*/) const override {
     // Flow 0 feeds (i+1, j); flow 1 feeds (i, j+1).
     return 2;
   }

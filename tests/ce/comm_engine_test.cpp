@@ -298,9 +298,9 @@ TEST_P(CeBackends, ReentrantPutFromAmCallback) {
 INSTANTIATE_TEST_SUITE_P(Backends, CeBackends,
                          ::testing::Values(BackendKind::Mpi,
                                            BackendKind::Lci),
-                         [](const auto& info) {
-                           return info.param == BackendKind::Mpi ? "Mpi"
-                                                                 : "Lci";
+                         [](const auto& tp) {
+                           return tp.param == BackendKind::Mpi ? "Mpi"
+                                                               : "Lci";
                          });
 
 // --- MPI-backend-specific mechanisms ---------------------------------------

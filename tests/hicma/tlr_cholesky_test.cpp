@@ -208,10 +208,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TlrRealCorrectness,
     ::testing::Combine(::testing::Values(2, 4, 6), ::testing::Values(1, 4),
                        ::testing::Values(BackendKind::Mpi, BackendKind::Lci)),
-    [](const auto& info) {
-      return "nt" + std::to_string(std::get<0>(info.param)) + "_nodes" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) == BackendKind::Mpi ? "_Mpi" : "_Lci");
+    [](const auto& tp) {
+      return "nt" + std::to_string(std::get<0>(tp.param)) + "_nodes" +
+             std::to_string(std::get<1>(tp.param)) +
+             (std::get<2>(tp.param) == BackendKind::Mpi ? "_Mpi" : "_Lci");
     });
 
 TEST(TlrRealAccuracy, LooserAccuracyGivesLargerResidualAndLowerRank) {

@@ -49,7 +49,9 @@ TEST_P(SvdShapes, SingularValuesSortedAndNonNegative) {
   const auto svd = svd_jacobi(random_matrix(m, n, 18));
   for (std::size_t i = 0; i < svd.s.size(); ++i) {
     EXPECT_GE(svd.s[i], 0.0);
-    if (i > 0) EXPECT_LE(svd.s[i], svd.s[i - 1]);
+    if (i > 0) {
+      EXPECT_LE(svd.s[i], svd.s[i - 1]);
+    }
   }
 }
 
