@@ -8,6 +8,11 @@
 // replicated metadata a recovery coordinator maintains; in the simulation
 // all nodes share one address space, so one instance serves every rank.
 //
+// Storage follows the access pattern: the phase is one byte per task,
+// indexed by the graph's dense TaskGraphDef::task_id; epoch and home
+// live in a sparse map holding only the tasks rearm() touched, so it
+// stays empty in every crash-free run.
+//
 // The re-owner rule is deterministic: a task re-homes to
 // survivors[hash(task) % |survivors|] with the survivor list sorted by
 // rank, so any two runs with the same crash schedule re-home identically
@@ -20,6 +25,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -30,39 +36,39 @@
 
 namespace amt {
 
-enum class TaskPhase : int { Pending = 0, Ready, Done };
+enum class TaskPhase : std::uint8_t { Pending = 0, Ready, Done };
 
 class LineageTracker {
  public:
-  explicit LineageTracker(const TaskGraphDef& def) : def_(def) {}
+  explicit LineageTracker(const TaskGraphDef& def)
+      : def_(def), total_(def.total_tasks()) {}
 
   TaskPhase phase(const TaskKey& t) const {
-    const auto it = recs_.find(t);
-    return it == recs_.end() ? TaskPhase::Pending : it->second.phase;
+    const std::uint64_t i = id(t);
+    return i < phase_.size() ? phase_[i] : TaskPhase::Pending;
   }
   bool is_done(const TaskKey& t) const { return phase(t) == TaskPhase::Done; }
 
   int epoch(const TaskKey& t) const {
-    const auto it = recs_.find(t);
-    return it == recs_.end() ? 0 : it->second.epoch;
+    const Rearmed* r = rearmed(t);
+    return r == nullptr ? 0 : r->epoch;
   }
 
   /// Effective home rank: the owner-computes rank until re-homed.
   int home(const TaskKey& t) const {
-    const auto it = recs_.find(t);
-    if (it != recs_.end() && it->second.home >= 0) return it->second.home;
-    return def_.rank_of(t);
+    const Rearmed* r = rearmed(t);
+    return r == nullptr ? def_.rank_of(t) : r->home;
   }
 
   void mark_ready(const TaskKey& t) {
-    Rec& r = rec(t);
-    if (r.phase == TaskPhase::Pending) r.phase = TaskPhase::Ready;
+    TaskPhase& p = slot(id(t));
+    if (p == TaskPhase::Pending) p = TaskPhase::Ready;
   }
 
   void mark_done(const TaskKey& t) {
-    Rec& r = rec(t);
-    if (r.phase != TaskPhase::Done) {
-      r.phase = TaskPhase::Done;
+    TaskPhase& p = slot(id(t));
+    if (p != TaskPhase::Done) {
+      p = TaskPhase::Done;
       ++done_;
     }
   }
@@ -77,33 +83,51 @@ class LineageTracker {
   /// Pending, epoch bumped, home re-assigned.  Un-counts a Done task so
   /// the completion predicate stays exact.  Returns the new epoch.
   int rearm(const TaskKey& t, const std::vector<int>& survivors) {
-    Rec& r = rec(t);
-    if (r.phase == TaskPhase::Done) --done_;
-    r.phase = TaskPhase::Pending;
+    const std::uint64_t i = id(t);
+    TaskPhase& p = slot(i);
+    if (p == TaskPhase::Done) --done_;
+    p = TaskPhase::Pending;
+    Rearmed& r = rearmed_[i];
     r.home = reowner(t, survivors);
-    rehomed_ = true;
     return ++r.epoch;
   }
 
   /// True once any task was re-homed; until then home() == rank_of()
   /// for every task.
-  bool rehomed() const { return rehomed_; }
+  bool rehomed() const { return !rearmed_.empty(); }
 
   /// Number of distinct tasks currently Done.
   std::uint64_t done_count() const { return done_; }
 
  private:
-  struct Rec {
-    TaskPhase phase = TaskPhase::Pending;
+  struct Rearmed {
     std::int32_t epoch = 0;
-    std::int32_t home = -1;  ///< -1 = owner-computes default
+    std::int32_t home = 0;
   };
-  Rec& rec(const TaskKey& t) { return recs_[t]; }
+
+  std::uint64_t id(const TaskKey& t) const {
+    const std::uint64_t i = def_.task_id(t);
+    assert(i < total_ && "task_id outside [0, total_tasks())");
+    return i;
+  }
+  /// The phase array is filled at the first write, once the run is under
+  /// way; until then every task reads Pending.  Filling it in the
+  /// constructor would put a byte per task into every set-up.
+  TaskPhase& slot(std::uint64_t i) {
+    if (phase_.empty()) phase_.assign(total_, TaskPhase::Pending);
+    return phase_[i];
+  }
+  const Rearmed* rearmed(const TaskKey& t) const {
+    if (rearmed_.empty()) return nullptr;
+    const auto it = rearmed_.find(id(t));
+    return it == rearmed_.end() ? nullptr : &it->second;
+  }
 
   const TaskGraphDef& def_;
-  std::unordered_map<TaskKey, Rec, TaskKeyHash> recs_;
+  std::uint64_t total_;
+  std::vector<TaskPhase> phase_;                        ///< by task_id
+  std::unordered_map<std::uint64_t, Rearmed> rearmed_;  ///< by task_id
   std::uint64_t done_ = 0;
-  bool rehomed_ = false;
 };
 
 /// Shared fault state: owned by the Runtime, consulted by every

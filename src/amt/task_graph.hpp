@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "des/time.hpp"
@@ -148,6 +149,17 @@ class TaskGraphDef {
 
   /// Total number of tasks across all ranks (for completion checking).
   virtual std::uint64_t total_tasks() const = 0;
+
+  /// Dense id of `t`: a bijection onto [0, total_tasks()), so per-task
+  /// state can live in arrays.  The default hands out ids in first-use
+  /// order from a map; a graph with regular structure overrides it with
+  /// a closed form.
+  virtual std::uint64_t task_id(const TaskKey& t) const {
+    return ids_.try_emplace(t, ids_.size()).first->second;
+  }
+
+ private:
+  mutable std::unordered_map<TaskKey, std::uint64_t, TaskKeyHash> ids_;
 };
 
 }  // namespace amt

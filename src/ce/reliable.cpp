@@ -6,6 +6,10 @@
 #include <cstdio>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 #include "des/trace_sink.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/stats.hpp"
@@ -31,9 +35,36 @@ const std::array<std::uint32_t, 256>& crc32c_table() {
   return table;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes the same reflected CRC-32C, eight
+// bytes per step.  Words are loaded with memcpy: payloads need not be
+// aligned.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const void* data, std::size_t n, std::uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t c = seed ^ 0xFFFFFFFFu;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    c = _mm_crc32_u64(c, w);
+  }
+  auto c32 = static_cast<std::uint32_t>(c);
+  for (; n > 0; --n, ++p) c32 = _mm_crc32_u8(c32, *p);
+  return c32 ^ 0xFFFFFFFFu;
+}
+
+bool cpu_has_sse42() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#endif
+
 }  // namespace
 
-std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed) {
+namespace detail {
+
+std::uint32_t crc32c_portable(const void* data, std::size_t n,
+                              std::uint32_t seed) {
   const auto& table = crc32c_table();
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const unsigned char*>(data);
@@ -41,6 +72,16 @@ std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed) {
     c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
+}
+
+}  // namespace detail
+
+std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed) {
+#if defined(__x86_64__)
+  static const bool hw = cpu_has_sse42();
+  if (hw) return crc32c_sse42(data, n, seed);
+#endif
+  return detail::crc32c_portable(data, n, seed);
 }
 
 std::uint32_t message_crc(const net::Message& m) {

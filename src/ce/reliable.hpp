@@ -39,9 +39,17 @@
 
 namespace ce {
 
-/// CRC-32C (Castagnoli), bitwise-reflected, software table.  `seed` chains
-/// multi-buffer checksums (pass a previous result).
+/// CRC-32C (Castagnoli), bitwise-reflected.  `seed` chains multi-buffer
+/// checksums (pass a previous result).  Runs the SSE4.2 crc32 instruction
+/// when the CPU has it, else a 256-entry table; both give the same value.
 std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+namespace detail {
+/// The table path crc32c() falls back to; exposed so tests can check the
+/// two paths agree.
+std::uint32_t crc32c_portable(const void* data, std::size_t n,
+                              std::uint32_t seed = 0);
+}  // namespace detail
 
 /// The checksum the reliability sublayer stores in WireHeader::rel_crc:
 /// CRC-32C over every load-bearing header field plus the payload bytes.

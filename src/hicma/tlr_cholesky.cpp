@@ -295,6 +295,35 @@ std::uint64_t TlrCholeskyGraph::total_tasks() const {
   return nt + offdiag + nt + offdiag + offdiag + gemms;
 }
 
+std::uint64_t TlrCholeskyGraph::task_id(const amt::TaskKey& t) const {
+  const auto nt = static_cast<std::uint64_t>(opts_.nt());
+  const auto i = static_cast<std::uint64_t>(t.i);
+  const auto j = static_cast<std::uint64_t>(t.j);
+  const auto k = static_cast<std::uint64_t>(t.k);
+  // Rank of the pair j < i, and of the triple k < j < i, in
+  // combinatorial-number order: C(i,2) + j and C(i,3) + C(j,2) + k.
+  const auto pair = [](std::uint64_t a, std::uint64_t b) {
+    return a * (a - 1) / 2 + b;
+  };
+  const std::uint64_t tri = nt * (nt - 1) / 2;  // tiles below the diagonal
+  switch (t.cls) {
+    case kDiag:
+      return i;
+    case kCmpr:
+      return nt + pair(i, j);
+    case kPotrf:
+      return nt + tri + i;
+    case kTrsm:
+      return 2 * nt + tri + pair(i, j);
+    case kSyrk:
+      return 2 * nt + 2 * tri + pair(i, j);
+    case kGemm:
+      return 2 * nt + 3 * tri + i * (i - 1) * (i - 2) / 6 + pair(j, k);
+  }
+  assert(false);
+  return 0;
+}
+
 // ---------------------------------------------------------------------------
 // Execution
 

@@ -106,6 +106,9 @@ class TlrCholeskyGraph final : public amt::TaskGraphDef {
                         amt::RunContext& ctx) override;
   void initial_tasks(int rank, std::vector<amt::TaskKey>& out) const override;
   std::uint64_t total_tasks() const override;
+  /// Closed form, classes in TaskClass order: DIAG, CMPR, POTRF, TRSM,
+  /// SYRK, GEMM, each block indexed by its tile coordinates.
+  std::uint64_t task_id(const amt::TaskKey& t) const override;
 
   const TlrOptions& options() const { return opts_; }
   const TlrResult& result() const { return result_; }

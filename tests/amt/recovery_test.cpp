@@ -5,6 +5,7 @@
 // or re-produced, and the numeric answer still comes out right.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -69,6 +70,81 @@ TEST(Lineage, RearmUncountsDoneAndBumpsEpoch) {
   lin.mark_done(t);
   EXPECT_EQ(lin.done_count(), 1u);
   EXPECT_EQ(lin.rearm(t, survivors), 2);  // epoch counts re-executions
+}
+
+TEST(Lineage, RearmIsSparse) {
+  ChainGraph graph(6, 3);
+  LineageTracker lin(graph);
+  const TaskKey a{0, 1}, b{0, 4};
+  lin.mark_done(a);
+  lin.mark_done(b);
+  EXPECT_FALSE(lin.rehomed());
+
+  const std::vector<int> survivors{0, 2};
+  EXPECT_EQ(lin.rearm(a, survivors), 1);
+  EXPECT_TRUE(lin.rehomed());
+  EXPECT_EQ(lin.done_count(), 1u);  // only `a` was un-counted
+  // A task that was never re-armed keeps its owner-computes home and
+  // epoch 0, and stays Done.
+  EXPECT_EQ(lin.home(b), graph.rank_of(b));
+  EXPECT_EQ(lin.epoch(b), 0);
+  EXPECT_TRUE(lin.is_done(b));
+
+  lin.mark_done(a);
+  EXPECT_EQ(lin.done_count(), 2u);
+  EXPECT_EQ(lin.rearm(a, survivors), 2);
+  EXPECT_EQ(lin.done_count(), 1u);
+  EXPECT_EQ(lin.rearm(a, survivors), 3);  // re-arming a Pending task
+  EXPECT_EQ(lin.done_count(), 1u);
+}
+
+// The default TaskGraphDef::task_id numbers tasks in first-use order:
+// distinct, inside [0, total_tasks()), and stable across calls.
+TEST(TaskId, DefaultIsADenseBijection) {
+  ChainGraph chain(9, 3);
+  std::set<std::uint64_t> ids;
+  for (int i = 0; i < 9; ++i) {
+    const std::uint64_t id = chain.task_id(TaskKey{0, i});
+    EXPECT_LT(id, chain.total_tasks());
+    ids.insert(id);
+  }
+  EXPECT_EQ(ids.size(), chain.total_tasks());
+  EXPECT_EQ(chain.task_id(TaskKey{0, 4}), chain.task_id(TaskKey{0, 4}));
+
+  WavefrontGraph wave(5, 3);
+  ids.clear();
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 5; ++j) {
+      const std::uint64_t id = wave.task_id(TaskKey{0, i, j});
+      EXPECT_LT(id, wave.total_tasks());
+      ids.insert(id);
+    }
+  }
+  EXPECT_EQ(ids.size(), wave.total_tasks());
+}
+
+/// A graph whose task_id() breaks the contract: every id equals
+/// total_tasks().
+class OutOfRangeIdGraph final : public amt::TaskGraphDef {
+ public:
+  int num_inputs(const TaskKey&) const override { return 0; }
+  int num_outputs(const TaskKey&) const override { return 0; }
+  int rank_of(const TaskKey&) const override { return 0; }
+  void successors(const TaskKey&, int, std::vector<amt::Dep>&) const override {}
+  des::Duration execute(const TaskKey&, amt::RunContext&) override {
+    return 0;
+  }
+  void initial_tasks(int, std::vector<TaskKey>&) const override {}
+  std::uint64_t total_tasks() const override { return 4; }
+  std::uint64_t task_id(const TaskKey&) const override {
+    return total_tasks();
+  }
+};
+
+TEST(LineageDeathTest, OutOfRangeTaskIdAborts) {
+  OutOfRangeIdGraph graph;
+  LineageTracker lin(graph);
+  EXPECT_DEATH(lin.mark_done(TaskKey{}), "task_id");
 }
 
 TEST(Lineage, FaultStateFirstErrorWinsAndSurvivorsAscend) {

@@ -110,14 +110,20 @@ TEST(LciAlloc, IdleProgressPassAllocatesNothing) {
 // included.  The run before the measured one fills process-wide pools
 // (payload buffers, flight-recorder rings) the same way in every fresh
 // process.
+// `fault_tolerant` turns on lineage, the reliability sublayer and the
+// failure detector, with no crash.
 std::uint64_t fingerprint_run_allocs(ce::BackendKind backend,
-                                     std::uint64_t expected_msgs) {
+                                     std::uint64_t expected_msgs,
+                                     bool fault_tolerant = false) {
   hicma::ExperimentConfig cfg;
   cfg.nodes = 8;
   cfg.backend = backend;
   cfg.tlr.mode = hicma::TlrOptions::Mode::Model;
   cfg.tlr.n = 36000;
   cfg.tlr.nb = 3000;
+  cfg.rt.ft.enabled = fault_tolerant;
+  cfg.ce.fd.enabled = fault_tolerant;
+  cfg.ce.reliable.enabled = fault_tolerant;
   // Instruments the environment can switch on allocate on their own.
   for (const char* var : {"AMTLCE_TRACE", "AMTLCE_TIMELINE",
                           "AMTLCE_FLIGHT_RING", "AMTLCE_POSTMORTEM"}) {
@@ -127,6 +133,7 @@ std::uint64_t fingerprint_run_allocs(ce::BackendKind backend,
   const std::uint64_t before = g_allocs;
   const hicma::ExperimentResult res = hicma::run_tlr_cholesky(cfg);
   const std::uint64_t allocs = g_allocs - before;
+  EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
   EXPECT_EQ(res.fabric_messages, expected_msgs);
   std::printf("allocs %llu (%.3f per fabric message)\n",
               static_cast<unsigned long long>(allocs),
@@ -147,6 +154,21 @@ TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
 TEST(LciAlloc, FingerprintRunAllocationsStayAtBound) {
   constexpr std::uint64_t kMaxAllocs = 4'488;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 2674), kMaxAllocs);
+}
+
+// The same run with fault tolerance on and no crash, bounded the same
+// way.  Lineage keeps a phase byte per task and a map entry only per
+// re-armed task; a node per task would add about 450 allocations here.
+TEST(MpiAlloc, FaultTolerantRunAllocationsStayAtBound) {
+  constexpr std::uint64_t kMaxAllocs = 8'673;
+  EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Mpi, 32742, true),
+            kMaxAllocs);
+}
+
+TEST(LciAlloc, FaultTolerantRunAllocationsStayAtBound) {
+  constexpr std::uint64_t kMaxAllocs = 8'407;
+  EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 34042, true),
+            kMaxAllocs);
 }
 
 }  // namespace

@@ -47,6 +47,34 @@ TEST(Crc32c, SeedChainsMultiBufferChecksums) {
   EXPECT_NE(first, whole);
 }
 
+TEST(Crc32c, PortableTableMatchesDispatchedPath) {
+  EXPECT_EQ(ce::detail::crc32c_portable("123456789", 9), 0xE3069283u);
+  // 100,000 random buffers: random bytes, lengths 0-600 (not only
+  // multiples of 8), start offsets 0-7 and seeds, each also checked as a
+  // two-buffer chain.
+  des::Rng rng(20231017);
+  std::vector<unsigned char> buf(600 + 8);
+  for (int trial = 0; trial < 100'000; ++trial) {
+    const std::size_t off = rng.below(8);
+    const std::size_t len = rng.below(601);
+    const auto seed = static_cast<std::uint32_t>(rng());
+    for (std::size_t b = 0; b < off + len; b += 8) {
+      const std::uint64_t word = rng();
+      std::memcpy(buf.data() + b, &word, sizeof word);
+    }
+    const unsigned char* p = buf.data() + off;
+    const std::uint32_t hw = ce::crc32c(p, len, seed);
+    ASSERT_EQ(ce::detail::crc32c_portable(p, len, seed), hw)
+        << "len " << len << " offset " << off << " seed " << seed;
+    const std::size_t cut = rng.below(len + 1);
+    ASSERT_EQ(ce::crc32c(p + cut, len - cut, ce::crc32c(p, cut, seed)), hw);
+    ASSERT_EQ(ce::detail::crc32c_portable(
+                  p + cut, len - cut,
+                  ce::detail::crc32c_portable(p, cut, seed)),
+              hw);
+  }
+}
+
 TEST(MessageCrc, CoversHeaderAndPayload) {
   net::Message m;
   m.src = 0;

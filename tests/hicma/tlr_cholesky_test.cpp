@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "hicma/driver.hpp"
 
@@ -183,6 +184,49 @@ TEST(TlrGraphShape, SuccessorsOnMatchesFilteredSuccessors) {
       }
     }
     EXPECT_EQ(compared, total) << "nodes=" << nodes;
+  }
+}
+
+// task_id() must map the graph's tasks one-to-one onto
+// [0, total_tasks()).  The tasks come from walking the graph from its
+// sources, not from the id formula.  nt = 120 is the perfbench size.
+TEST(TlrGraphShape, TaskIdIsABijectionOntoTotalTasks) {
+  for (const int nt : {1, 2, 3, 7, 120}) {
+    TlrOptions o;
+    o.mode = TlrOptions::Mode::Model;
+    o.nb = 100;
+    o.n = nt * o.nb;
+    TlrCholeskyGraph g(o, 4);
+    const std::uint64_t total = g.total_tasks();
+    std::vector<amt::TaskKey> owner_of(total, amt::TaskKey{-1});
+    std::vector<amt::TaskKey> stack;
+    std::uint64_t seen = 0;
+    const auto visit = [&](const amt::TaskKey& t) {
+      const std::uint64_t id = g.task_id(t);
+      ASSERT_LT(id, total) << "nt=" << nt << " cls=" << t.cls;
+      amt::TaskKey& slot = owner_of[id];
+      if (slot.cls == -1) {
+        slot = t;
+        ++seen;
+        stack.push_back(t);
+      } else {
+        ASSERT_EQ(slot, t) << "nt=" << nt << " id " << id << " is shared";
+      }
+    };
+    std::vector<amt::TaskKey> sources;
+    for (int r = 0; r < 4; ++r) g.initial_tasks(r, sources);
+    for (const amt::TaskKey& t : sources) visit(t);
+    std::vector<amt::Dep> deps;
+    while (!stack.empty()) {
+      const amt::TaskKey t = stack.back();
+      stack.pop_back();
+      for (int f = 0; f < g.num_outputs(t); ++f) {
+        deps.clear();
+        g.successors(t, f, deps);
+        for (const amt::Dep& d : deps) visit(d.task);
+      }
+    }
+    EXPECT_EQ(seen, total) << "nt=" << nt;
   }
 }
 
