@@ -59,13 +59,12 @@ Status MpiBackend::tag_reg(Tag tag, AmCallback cb, void* cb_data,
   if (find_tag(tag) != nullptr) return Status::ErrTagDuplicate;
   const std::size_t am = tags_.size();
   tags_.push_back(AmTagInfo{tag, std::move(cb), cb_data, max_len});
-  // Five persistent wildcard receives per tag (§4.2.1).
+  // Five persistent wildcard receives per tag (§4.2.1), bufferless.
   for (int i = 0; i < cfg_.persistent_recvs_per_tag; ++i) {
     Entry e;
     e.kind = Entry::Kind::AmRecv;
     e.am = am;
-    e.buffer.resize(max_len);
-    e.req = rank_.recv_init(e.buffer.data(), max_len, mmpi::kAnySource, tag);
+    e.req = rank_.recv_init(max_len, mmpi::kAnySource, tag);
     rank_.start(e.req);
     entries_.push_back(std::move(e));
     ++am_entries_;
@@ -200,7 +199,9 @@ void MpiBackend::run_am_callback(const Entry& e, const mmpi::MpiStatus& st) {
                   static_cast<unsigned long long>(t.tag));
     span.emplace(rank_.engine(), label);
   }
-  t.cb(*this, t.tag, e.buffer.data(), st.count, st.source, t.cb_data);
+  // The borrowed bytes stay readable until progress() restarts e.req.
+  t.cb(*this, t.tag, rank_.received(e.req).data(), st.count, st.source,
+       t.cb_data);
 }
 
 int MpiBackend::progress() {

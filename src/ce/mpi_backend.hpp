@@ -3,6 +3,7 @@
 // Mechanisms reproduced:
 //   * tag_reg posts a fixed number (5) of persistent wildcard receives
 //     (MPI_Recv_init + MPI_Start, MPI_ANY_SOURCE) per registered tag.
+//     They own no buffer: callbacks read the payload mmpi borrowed.
 //   * send_am uses blocking eager MPI_Send with the AM tag.
 //   * put() is emulated: a handshake active message announces target
 //     address / size / data tag / remote callback, then the data moves
@@ -73,10 +74,8 @@ class MpiBackend final : public CommEngine {
     enum class Kind { AmRecv, DataSend, DataRecv };
     Kind kind = Kind::AmRecv;
     mmpi::RequestId req = mmpi::kNullRequest;
-    // AmRecv: index of the registered tag in tags_, and the receive
-    // buffer (its bytes stay put when the entry moves).
+    // AmRecv: index of the registered tag in tags_.
     std::size_t am = 0;
-    std::vector<std::byte> buffer;
     // DataSend: origin-side completion.
     OnesidedCallback l_cb;
     void* l_cb_data = nullptr;

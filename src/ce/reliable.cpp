@@ -407,6 +407,10 @@ void ReliableChannel::on_control(const net::Message& m) {
 
 bool ReliableChannel::note_received(net::NodeId src, std::uint64_t seq) {
   PeerRecv& r = recv_[static_cast<std::size_t>(src)];
+  if (seq == r.cum + 1 && r.ahead.empty()) {  // in order: no set node
+    r.cum = seq;
+    return true;
+  }
   if (seq <= r.cum || r.ahead.contains(seq)) return false;
   r.ahead.insert(seq);
   while (r.ahead.contains(r.cum + 1)) {

@@ -24,7 +24,7 @@ Mpi::Mpi(net::Fabric& fabric, Config config)
   const int n = fabric.num_nodes();
   ranks_.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    ranks_.emplace_back(std::unique_ptr<Rank>(new Rank(*this, r, n)));
+    ranks_.emplace_back(std::unique_ptr<Rank>(new Rank(*this, r)));
     fabric.nic(r).set_deliver_handler([this, r](net::Message&& m) {
       if (m.hdr.proto == net::kProtoMpi) rank(r).deliver(std::move(m));
     });
@@ -40,10 +40,6 @@ Mpi::~Mpi() {
 int Rank::size() const { return mpi_.size(); }
 
 des::Engine& Rank::engine() { return mpi_.fabric().engine(); }
-
-std::uint64_t Rank::next_seq(int dst) {
-  return send_seq_[static_cast<std::size_t>(dst)]++;
-}
 
 // ---------------------------------------------------------------------------
 // Request table
@@ -73,7 +69,7 @@ void Rank::report(Request& r) {
 void Rank::release(Request& r) {
   if (r.state == Request::State::Complete) --unreported_;
   const std::uint32_t slot = des::Slab<Request>::slot_of(r.id);
-  r = Request{};  // drops a staged payload now, not at slot reuse
+  r = Request{};  // drops a held payload now, not at slot reuse
   requests_.release(slot);
 }
 
@@ -111,7 +107,6 @@ void Rank::send(const void* buf, std::size_t bytes, int dst, Tag tag) {
   m.hdr.proto = net::kProtoMpi;
   m.hdr.kind = kEager;
   m.hdr.tag = tag;
-  m.hdr.seq = next_seq(dst);
   m.hdr.size = bytes;
   if (buf != nullptr && bytes > 0) m.payload = net::make_payload(buf, bytes);
   mpi_.fabric_.nic(rank_).send(std::move(m));
@@ -140,7 +135,7 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   req.bytes = bytes;
   req.dst = dst;
   req.tag = tag;
-  if (buf != nullptr) req.staged = net::make_payload(buf, bytes);
+  if (buf != nullptr) req.payload = net::make_payload(buf, bytes);
   const RequestId id = req.id;
 
   net::Message rts;
@@ -150,7 +145,6 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   rts.hdr.proto = net::kProtoMpi;
   rts.hdr.kind = kRts;
   rts.hdr.tag = tag;
-  rts.hdr.seq = next_seq(dst);
   rts.hdr.size = bytes;
   rts.hdr.imm[0] = id;
   mpi_.fabric_.nic(rank_).send(std::move(rts));
@@ -174,12 +168,11 @@ RequestId Rank::irecv(void* buf, std::size_t capacity, int src, Tag tag) {
   return id;
 }
 
-RequestId Rank::recv_init(void* buf, std::size_t capacity, int src, Tag tag) {
+RequestId Rank::recv_init(std::size_t capacity, int src, Tag tag) {
   des::charge_current(mpi_.cfg_.call_overhead);
   Request& req = alloc_request();
   req.kind = Request::Kind::Recv;
   req.persistent = true;
-  req.rbuf = buf;
   req.capacity = capacity;
   req.src = src;
   req.tag = tag;
@@ -207,6 +200,7 @@ void Rank::start(RequestId id) {
   assert(r.persistent && r.state == Request::State::Inactive);
   r.state = Request::State::Active;
   if (r.kind == Request::Kind::Recv) {
+    r.payload.reset();
     post_recv(id);
   } else {
     // Persistent send: re-issue as an eager or rendezvous send.
@@ -221,6 +215,12 @@ void Rank::start(RequestId id) {
       find(tmp)->imm_alias = id;
     }
   }
+}
+
+std::span<const std::byte> Rank::received(RequestId id) {
+  const Request* r = find(id);
+  if (r == nullptr || r->payload == nullptr) return {};
+  return {r->payload->data(), r->status.count};
 }
 
 void Rank::post_recv(RequestId id) {
@@ -266,17 +266,28 @@ void Rank::accept_rts(Request& r, net::Message& rts) {
   mpi_.fabric_.nic(rank_).send(std::move(cts));
 }
 
+// Eager and rendezvous DATA alike: the bytes, truncated to the capacity,
+// are copied into an irecv's buffer or borrowed by a persistent receive.
 void Rank::complete_recv_from_message(Request& r, net::Message& m) {
-  const Config& cfg = mpi_.cfg_;
-  const auto n = static_cast<std::size_t>(m.hdr.size);
-  const std::size_t copied = n < r.capacity ? n : r.capacity;
-  if (r.rbuf != nullptr && m.payload != nullptr && copied > 0) {
-    des::charge_current(des::transfer_time(copied, cfg.copy_bandwidth_Bps));
-    std::memcpy(r.rbuf, m.payload->data(), copied);
+  const std::size_t count =
+      std::min(static_cast<std::size_t>(m.hdr.size), r.capacity);
+  if (m.payload != nullptr && count > 0 &&
+      (r.persistent || r.rbuf != nullptr)) {
+    // The eager copy out of the library's buffer is charged even when the
+    // bytes are borrowed; rendezvous DATA is an RDMA write, no CPU copy.
+    if (m.hdr.kind == kEager) {
+      des::charge_current(
+          des::transfer_time(count, mpi_.cfg_.copy_bandwidth_Bps));
+    }
+    if (r.persistent) {
+      r.payload = std::move(m.payload);
+    } else {
+      std::memcpy(r.rbuf, m.payload->data(), count);
+    }
   }
   r.status.source = m.src;
   r.status.tag = m.hdr.tag;
-  r.status.count = copied;
+  r.status.count = count;
   mark_complete(r);
 }
 
@@ -330,7 +341,7 @@ void Rank::handle_cts(net::Message& m) {
   data.hdr.tag = r.tag;
   data.hdr.size = r.bytes;
   data.hdr.imm[0] = m.hdr.imm[1];  // receiver's request id
-  data.payload = r.staged;
+  data.payload = r.payload;
   // Local completion when the last byte leaves the NIC (RDMA semantics:
   // the send buffer is then reusable).  The state flip is a hardware CQ
   // write; the completion is *observed* at the next test/testsome.
@@ -353,19 +364,7 @@ void Rank::handle_cts(net::Message& m) {
 void Rank::handle_data(net::Message& m) {
   Request* found = find(m.hdr.imm[0]);
   assert(found != nullptr && "DATA for unknown recv request");
-  Request& r = *found;
-  // RDMA write: payload lands without a CPU copy; just complete.
-  if (r.rbuf != nullptr && m.payload != nullptr) {
-    const auto n = static_cast<std::size_t>(m.hdr.size);
-    const std::size_t copied = n < r.capacity ? n : r.capacity;
-    std::memcpy(r.rbuf, m.payload->data(), copied);
-    r.status.count = copied;
-  } else {
-    r.status.count = static_cast<std::size_t>(m.hdr.size);
-  }
-  r.status.source = m.src;
-  r.status.tag = m.hdr.tag;
-  mark_complete(r);
+  complete_recv_from_message(*found, m);
 }
 
 void Rank::progress() {

@@ -102,9 +102,16 @@ class Rank {
   RequestId irecv(void* buf, std::size_t capacity, int src, Tag tag);
 
   // --- persistent requests ---------------------------------------------
-  RequestId recv_init(void* buf, std::size_t capacity, int src, Tag tag);
+  /// A persistent receive owns no buffer: a completion borrows the
+  /// arrived payload (received()); the modeled copy is charged anyway.
+  RequestId recv_init(std::size_t capacity, int src, Tag tag);
   RequestId send_init(const void* buf, std::size_t bytes, int dst, Tag tag);
   void start(RequestId req);
+
+  /// The bytes persistent receive `req` last borrowed, truncated to its
+  /// capacity, readable until start(), free, cancel or purge.  Empty for
+  /// a message without payload and for an id naming no live request.
+  std::span<const std::byte> received(RequestId req);
 
   // --- completion -------------------------------------------------------
   struct TestsomeResult {
@@ -168,8 +175,7 @@ class Rank {
 
  private:
   friend class Mpi;
-  Rank(Mpi& mpi, int rank, int size)
-      : mpi_(mpi), rank_(rank), send_seq_(static_cast<std::size_t>(size)) {}
+  Rank(Mpi& mpi, int rank) : mpi_(mpi), rank_(rank) {}
 
   struct Request {
     enum class Kind { Send, Recv };
@@ -180,7 +186,7 @@ class Rank {
     bool persistent = false;
 
     // Receive parameters.
-    void* rbuf = nullptr;
+    void* rbuf = nullptr;  ///< irecv only; persistent receives borrow
     std::size_t capacity = 0;
     int src = kAnySource;
 
@@ -188,7 +194,9 @@ class Rank {
     const void* sbuf = nullptr;
     std::size_t bytes = 0;
     int dst = -1;
-    net::PayloadPtr staged;  ///< payload captured at isend time (rendezvous)
+    /// Send: the payload captured at isend time (rendezvous).  Persistent
+    /// receive: the payload its last completion borrowed.
+    net::PayloadPtr payload;
 
     Tag tag = 0;
     MpiStatus status;
@@ -222,14 +230,12 @@ class Rank {
   Request* find_matching_posted(int src, Tag tag);
   void complete_recv_from_message(Request& r, net::Message& m);
   void post_recv(RequestId id);
-  std::uint64_t next_seq(int dst);
 
   Mpi& mpi_;
   int rank_;
   des::Ring<net::Message> incoming_;        ///< hardware queue
   std::vector<RequestId> posted_recvs_;     ///< posted-receive queue (FIFO)
   des::Ring<net::Message> unexpected_;      ///< unexpected-message queue
-  std::vector<std::uint64_t> send_seq_;     ///< next seq, by destination
   des::Slab<Request> requests_;             ///< request table
   /// Live requests that are Complete but not yet reported by test or
   /// testsome.  While it is 0, testsome has nothing to find.

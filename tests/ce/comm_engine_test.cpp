@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -118,6 +119,60 @@ TEST_P(CeBackends, ManyAmsAllDelivered) {
   }
   w.run();
   EXPECT_EQ(count, 100);
+}
+
+// More AMs in flight than a tag has persistent receives (5 on MPI): each
+// callback reads its own bytes, even after it sends a reply of the same
+// size first (a released payload buffer would be the reply's to reuse).
+TEST_P(CeBackends, InFlightAmsEachDeliverTheirOwnBytes) {
+  CeWorld w(2, GetParam());
+  std::vector<std::string> got;
+  w.engine(1).tag_reg(
+      kActivate,
+      [&](CommEngine& ce, Tag, const void* msg, std::size_t size, int src,
+          void*) {
+        const std::string reply(size, '#');
+        ce.send_am(kActivate, src, reply.data(), reply.size());
+        got.emplace_back(static_cast<const char*>(msg), size);
+      },
+      nullptr, 64);
+  int replies = 0;
+  w.engine(0).tag_reg(
+      kActivate,
+      [&](CommEngine&, Tag, const void*, std::size_t, int, void*) {
+        ++replies;
+      },
+      nullptr, 64);
+  std::vector<std::string> sent;
+  for (int i = 0; i < 12; ++i) {
+    sent.push_back("am-" + std::to_string(i) + std::string(i, '.'));
+    EXPECT_EQ(w.engine(0).send_am(kActivate, 1, sent.back().data(),
+                                  sent.back().size()),
+              ce::Status::Ok);
+  }
+  w.run();
+  EXPECT_EQ(replies, 12);
+  std::sort(got.begin(), got.end());
+  std::sort(sent.begin(), sent.end());
+  EXPECT_EQ(got, sent);
+}
+
+TEST_P(CeBackends, ZeroByteAmReachesCallbackWithCountZero) {
+  CeWorld w(2, GetParam());
+  int calls = 0;
+  std::size_t got_size = 99;
+  w.engine(1).tag_reg(
+      kActivate,
+      [&](CommEngine&, Tag, const void*, std::size_t size, int, void*) {
+        ++calls;
+        got_size = size;
+      },
+      nullptr, 64);
+  w.engine(0).tag_reg(kActivate, [](auto&&...) {}, nullptr, 64);
+  EXPECT_EQ(w.engine(0).send_am(kActivate, 1, nullptr, 0), ce::Status::Ok);
+  w.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got_size, 0u);
 }
 
 TEST_P(CeBackends, DistinctTagsRouteToDistinctCallbacks) {

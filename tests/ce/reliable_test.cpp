@@ -101,6 +101,38 @@ TEST(MessageCrc, CoversHeaderAndPayload) {
   EXPECT_NE(ce::message_crc(seq), base);
 }
 
+// The receive window, driven frame by frame through node 1's shim: an
+// in-order frame advances the cumulative mark, frames past a gap wait
+// out of order, the gap fill releases them, and every copy at or below
+// the mark or already waiting is a duplicate.
+TEST(ReceiveWindow, OutOfOrderThenGapFillThenDuplicates) {
+  des::Engine eng;
+  net::Fabric fab(eng, 2);
+  ce::ReliableDomain dom(fab, ce::ReliableConfig{});
+  net::LinkShim& rx = *fab.nic(1).shim();
+  // True when the frame goes up to the library (first copy).
+  const auto first_copy = [&rx](std::uint64_t seq) {
+    net::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.hdr.rel_seq = seq;
+    m.hdr.rel_crc = ce::message_crc(m);
+    return !rx.shim_deliver(m);
+  };
+  EXPECT_TRUE(first_copy(1));   // in order
+  EXPECT_TRUE(first_copy(3));   // past the gap at 2
+  EXPECT_TRUE(first_copy(4));
+  EXPECT_FALSE(first_copy(3));  // waiting out of order
+  EXPECT_TRUE(first_copy(2));   // fills the gap: 3 and 4 follow
+  EXPECT_FALSE(first_copy(3));  // now at or below the mark
+  EXPECT_FALSE(first_copy(4));
+  EXPECT_FALSE(first_copy(1));
+  EXPECT_TRUE(first_copy(5));   // in order again
+  EXPECT_FALSE(first_copy(5));
+  EXPECT_EQ(dom.stats().duplicates_suppressed, 5u);
+  EXPECT_EQ(dom.stats().acks_sent, 10u);  // every copy is ACKed
+}
+
 TEST(Backoff, GrowsExponentiallyUnderCapWithJitter) {
   ce::Backoff b;  // base 1 us, cap 64 us, factor 2, jitter 0.25
   des::Rng rng(7);

@@ -4,6 +4,9 @@
 
 #include <array>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,10 @@ using mmpi::Mpi;
 using mmpi::MpiStatus;
 using mmpi::Rank;
 using mmpi::RequestId;
+
+std::string text(std::span<const std::byte> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
 
 struct World {
   Engine eng;
@@ -165,17 +172,160 @@ TEST(Mmpi, SenderBufferReusableAfterEagerSend) {
 
 TEST(Mmpi, PersistentRecvRestartReceivesAgain) {
   World w(2);
-  std::array<char, 16> buf{};
-  const RequestId r = w.mpi.rank(1).recv_init(buf.data(), 16, kAnySource, 11);
+  const RequestId r = w.mpi.rank(1).recv_init(16, kAnySource, 11);
   for (int round = 0; round < 3; ++round) {
     w.mpi.rank(1).start(r);
     const std::string payload = "round" + std::to_string(round);
     w.mpi.rank(0).send(payload.data(), payload.size(), 1, 11);
     MpiStatus st;
     ASSERT_TRUE(w.wait(1, r, &st)) << "round " << round;
-    EXPECT_EQ(std::string(buf.data(), st.count), payload);
+    EXPECT_EQ(text(w.mpi.rank(1).received(r)), payload);
   }
   w.mpi.rank(1).free_request(r);
+}
+
+// Swaps each payload delivered to `nic` for a private copy that only mmpi
+// then owns, and keeps a weak reference to it: expired() tells whether
+// mmpi still holds the bytes.
+struct PayloadSpy final : net::LinkShim {
+  net::Nic& nic;
+  std::vector<std::weak_ptr<const std::vector<std::byte>>> seen;
+
+  explicit PayloadSpy(net::Nic& n) : nic(n) { nic.set_shim(this); }
+  ~PayloadSpy() override { nic.set_shim(nullptr); }
+
+  void shim_send(net::Message&& m, std::function<void()> on_sent) override {
+    nic.raw_send(std::move(m), std::move(on_sent));
+  }
+  bool shim_deliver(net::Message& m) override {
+    if (m.payload != nullptr) {
+      m.payload = std::make_shared<const std::vector<std::byte>>(*m.payload);
+      seen.push_back(m.payload);
+    }
+    return false;
+  }
+};
+
+// A persistent receive borrows the arrived payload: later traffic, whose
+// payload buffers come from the same pool, leaves its bytes alone until
+// start() re-arms it.
+TEST(Mmpi, BorrowedBytesStayReadableUntilStart) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  const RequestId r = r1.recv_init(16, kAnySource, 1);
+  r1.start(r);
+  w.mpi.rank(0).send("borrowed", 8, 1, 1);
+  w.eng.run();
+  const std::array<RequestId, 1> arr{r};
+  ASSERT_EQ(r1.testsome(arr).indices.size(), 1u);
+  EXPECT_EQ(text(r1.received(r)), "borrowed");
+
+  for (int i = 0; i < 4; ++i) {
+    std::array<char, 16> other{};
+    const RequestId o = r1.irecv(other.data(), other.size(), 0, 2);
+    w.mpi.rank(0).send("clobber!", 8, 1, 2);
+    ASSERT_TRUE(w.wait(1, o, nullptr));
+    EXPECT_EQ(std::string(other.data(), 8), "clobber!");
+  }
+  EXPECT_EQ(text(r1.received(r)), "borrowed");
+
+  r1.start(r);
+  EXPECT_TRUE(r1.received(r).empty());
+  r1.cancel(r);
+  EXPECT_TRUE(r1.received(r).empty());  // no live request
+}
+
+TEST(Mmpi, BorrowedBytesTruncateToCapacity) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  const RequestId r = r1.recv_init(4, 0, 5);
+  r1.start(r);
+  w.mpi.rank(0).send("abcdefgh", 8, 1, 5);
+  MpiStatus st;
+  ASSERT_TRUE(w.wait(1, r, &st));
+  EXPECT_EQ(st.count, 4u);
+  EXPECT_EQ(text(r1.received(r)), "abcd");
+
+  // A zero-byte message completes with count 0 and borrows nothing.
+  r1.start(r);
+  w.mpi.rank(0).send(nullptr, 0, 1, 5);
+  ASSERT_TRUE(w.wait(1, r, &st));
+  EXPECT_EQ(st.count, 0u);
+  EXPECT_TRUE(r1.received(r).empty());
+  r1.free_request(r);
+}
+
+TEST(Mmpi, PersistentRecvBorrowsFromUnexpectedQueue) {
+  World w(2);
+  Rank& r1 = w.mpi.rank(1);
+  w.mpi.rank(0).send("early bird", 10, 1, 3);
+  w.eng.run();
+  r1.poll();  // no receive posted: the message goes to the unexpected queue
+  EXPECT_EQ(r1.pending_incoming(), 0u);
+  const RequestId r = r1.recv_init(16, 0, 3);
+  r1.start(r);  // matches at post time
+  MpiStatus st;
+  ASSERT_TRUE(r1.test(r, &st));
+  EXPECT_EQ(st.count, 10u);
+  EXPECT_EQ(text(r1.received(r)), "early bird");
+  r1.free_request(r);
+}
+
+TEST(Mmpi, StartFreeAndCancelDropTheBorrowedPayload) {
+  World w(2);
+  PayloadSpy spy(w.fab.nic(1));
+  Rank& r1 = w.mpi.rank(1);
+  const std::array<RequestId, 3> reqs{r1.recv_init(8, 0, 1),
+                                      r1.recv_init(8, 0, 2),
+                                      r1.recv_init(8, 0, 3)};
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    r1.start(reqs[i]);
+    w.mpi.rank(0).send("abc", 3, 1, static_cast<mmpi::Tag>(i + 1));
+  }
+  w.eng.run();
+  ASSERT_EQ(r1.testsome(reqs).indices.size(), 3u);
+  ASSERT_EQ(spy.seen.size(), 3u);
+  for (const auto& p : spy.seen) EXPECT_FALSE(p.expired());
+
+  r1.start(reqs[0]);
+  EXPECT_TRUE(spy.seen[0].expired());
+  r1.free_request(reqs[1]);
+  EXPECT_TRUE(spy.seen[1].expired());
+  r1.cancel(reqs[2]);
+  EXPECT_TRUE(spy.seen[2].expired());
+  r1.cancel(reqs[0]);
+}
+
+// purge_peer cancels Active requests only, and those hold no payload.  It
+// drops the dead peer's queued payloads; a wildcard receive that completed
+// before the death keeps the bytes it borrowed for its callback.
+TEST(Mmpi, PurgePeerDropsQueuedPayloadsKeepsCompletedBorrows) {
+  World w(3);
+  PayloadSpy spy(w.fab.nic(2));
+  Rank& r2 = w.mpi.rank(2);
+  const RequestId any = r2.recv_init(8, kAnySource, 1);
+  r2.start(any);
+  w.mpi.rank(0).send("early", 5, 2, 1);  // matches `any`
+  w.mpi.rank(0).send("late", 4, 2, 7);   // no receive for tag 7
+  w.eng.run();
+  r2.poll();
+  w.mpi.rank(0).send("wire", 4, 2, 7);  // left in the hardware queue
+  w.eng.run();
+  const RequestId from0 = r2.recv_init(8, 0, 1);
+  r2.start(from0);
+  ASSERT_EQ(spy.seen.size(), 3u);
+  ASSERT_EQ(r2.pending_incoming(), 1u);
+
+  EXPECT_EQ(r2.purge_peer(0), 1u);  // `from0`
+  EXPECT_FALSE(spy.seen[0].expired());
+  EXPECT_TRUE(spy.seen[1].expired());  // unexpected queue
+  EXPECT_TRUE(spy.seen[2].expired());  // hardware queue
+  MpiStatus st;
+  ASSERT_TRUE(r2.test(any, &st));
+  EXPECT_EQ(st.source, 0);
+  EXPECT_EQ(text(r2.received(any)), "early");
+  r2.free_request(any);
+  EXPECT_TRUE(spy.seen[0].expired());
 }
 
 TEST(Mmpi, TestsomeReportsOnlyCompleted) {
@@ -202,8 +352,7 @@ TEST(Mmpi, TestsomeReportsOnlyCompleted) {
 
 TEST(Mmpi, TestsomeResetsPersistentToInactive) {
   World w(2);
-  std::array<char, 8> buf{};
-  const RequestId r = w.mpi.rank(1).recv_init(buf.data(), 8, 0, 1);
+  const RequestId r = w.mpi.rank(1).recv_init(8, 0, 1);
   w.mpi.rank(1).start(r);
   w.mpi.rank(0).send("hi", 2, 1, 1);
   w.eng.run();
@@ -306,7 +455,7 @@ TEST(Mmpi, StaleIdNeverTouchesRecycledSlot) {
   World w(2);
   Rank& r1 = w.mpi.rank(1);
   std::array<char, 8> buf{};
-  const RequestId stale = r1.recv_init(buf.data(), buf.size(), 0, 1);
+  const RequestId stale = r1.recv_init(buf.size(), 0, 1);
   r1.free_request(stale);
   const RequestId fresh = r1.irecv(buf.data(), buf.size(), 0, 2);
   EXPECT_NE(fresh, stale);
@@ -332,11 +481,11 @@ TEST(Mmpi, PurgePeerSkipsFreedSlotsAndSparesOthers) {
   std::array<char, 8> from0{}, from1{}, any{};
   const RequestId dead_recv = r2.irecv(from0.data(), 8, 0, 1);
   const RequestId live_recv = r2.irecv(from1.data(), 8, 1, 1);
-  const RequestId freed = r2.recv_init(nullptr, 8, 0, 5);
+  const RequestId freed = r2.recv_init(8, 0, 5);
   r2.free_request(freed);  // a hole between live slots
   const RequestId wildcard = r2.irecv(any.data(), 8, kAnySource, 2);
   const RequestId dead_send = r2.isend(nullptr, 1 << 20, 0, 3);  // rendezvous
-  const RequestId inactive = r2.recv_init(nullptr, 8, 0, 4);
+  const RequestId inactive = r2.recv_init(8, 0, 4);
   const RequestId done_send = r2.isend("x", 1, 0, 6);  // eager: complete
 
   // Only Active requests wedged on rank 0 go: its receive and its
