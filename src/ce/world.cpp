@@ -11,9 +11,6 @@ CommWorld::CommWorld(net::Fabric& fabric, BackendKind kind, CeConfig ce_cfg,
   const int n = fabric.num_nodes();
   engines_.reserve(static_cast<std::size_t>(n));
   if (kind == BackendKind::Mpi) {
-    // PaRSEC sets mpi_assert_allow_overtaking (§4.2.2): it never relies on
-    // MPI message ordering.
-    mpi_cfg.allow_overtaking = true;
     mpi_ = std::make_unique<mmpi::Mpi>(fabric, mpi_cfg);
     for (int r = 0; r < n; ++r) {
       engines_.push_back(

@@ -131,7 +131,6 @@ RequestId Rank::isend(const void* buf, std::size_t bytes, int dst, Tag tag) {
   Request& req = alloc_request();
   req.kind = Request::Kind::Send;
   req.state = Request::State::Active;
-  req.sbuf = buf;
   req.bytes = bytes;
   req.dst = dst;
   req.tag = tag;
@@ -179,19 +178,6 @@ RequestId Rank::recv_init(std::size_t capacity, int src, Tag tag) {
   return req.id;
 }
 
-RequestId Rank::send_init(const void* buf, std::size_t bytes, int dst,
-                          Tag tag) {
-  des::charge_current(mpi_.cfg_.call_overhead);
-  Request& req = alloc_request();
-  req.kind = Request::Kind::Send;
-  req.persistent = true;
-  req.sbuf = buf;
-  req.bytes = bytes;
-  req.dst = dst;
-  req.tag = tag;
-  return req.id;
-}
-
 void Rank::start(RequestId id) {
   des::charge_current(mpi_.cfg_.call_overhead);
   Request* found = find(id);
@@ -199,22 +185,8 @@ void Rank::start(RequestId id) {
   Request& r = *found;
   assert(r.persistent && r.state == Request::State::Inactive);
   r.state = Request::State::Active;
-  if (r.kind == Request::Kind::Recv) {
-    r.payload.reset();
-    post_recv(id);
-  } else {
-    // Persistent send: re-issue as an eager or rendezvous send.
-    if (r.bytes <= mpi_.cfg_.eager_threshold) {
-      send(r.sbuf, r.bytes, r.dst, r.tag);
-      mark_complete(r);
-    } else {
-      // isend() may grow the table: `r` is not used past this call.
-      const RequestId tmp = isend(r.sbuf, r.bytes, r.dst, r.tag);
-      // Track the underlying transfer by aliasing: completion of the
-      // temporary marks the persistent request complete.
-      find(tmp)->imm_alias = id;
-    }
-  }
+  r.payload.reset();
+  post_recv(id);
 }
 
 std::span<const std::byte> Rank::received(RequestId id) {
@@ -349,14 +321,7 @@ void Rank::handle_cts(net::Message& m) {
   mpi_.fabric_.nic(rank_).send(std::move(data), [this, sid]() {
     Request* s = find(sid);
     if (s == nullptr) return;  // cancelled meanwhile
-    if (s->imm_alias != kNullRequest) {
-      // Persistent-send alias: complete the persistent request and drop
-      // the temporary.
-      if (Request* p = find(s->imm_alias)) mark_complete(*p);
-      release(*s);
-    } else {
-      mark_complete(*s);
-    }
+    mark_complete(*s);
     notify();
   });
 }

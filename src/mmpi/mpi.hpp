@@ -4,8 +4,8 @@
 // two-sided nonblocking sends/receives, persistent requests
 // (MPI_Recv_init / MPI_Start), MPI_Testsome over a request array, wildcard
 // MPI_ANY_SOURCE, blocking eager MPI_Send, tag matching with posted- and
-// unexpected-message queues, an eager/rendezvous protocol switch, and the
-// mpi_assert_allow_overtaking info key.
+// unexpected-message queues, and an eager/rendezvous protocol switch.
+// PaRSEC asserts mpi_assert_allow_overtaking (§4.2.2); FIFO matching obeys it.
 //
 // Progress semantics mirror real MPI: the library only progresses inside
 // MPI calls.  Arriving fabric messages queue in a per-rank hardware queue;
@@ -46,11 +46,6 @@ inline constexpr RequestId kNullRequest = 0;
 struct Config {
   /// Messages at or below this size use the eager protocol.
   std::size_t eager_threshold = 8192;
-
-  /// mpi_assert_allow_overtaking: PaRSEC sets this because it never relies
-  /// on MPI message ordering.  Recorded and queryable; matching in this
-  /// implementation is FIFO either way (a valid behaviour for both modes).
-  bool allow_overtaking = false;
 
   // --- software overhead model (charged to the calling sim thread) ---
   des::Duration call_overhead = 1500;        ///< fixed cost of any MPI call
@@ -105,7 +100,6 @@ class Rank {
   /// A persistent receive owns no buffer: a completion borrows the
   /// arrived payload (received()); the modeled copy is charged anyway.
   RequestId recv_init(std::size_t capacity, int src, Tag tag);
-  RequestId send_init(const void* buf, std::size_t bytes, int dst, Tag tag);
   void start(RequestId req);
 
   /// The bytes persistent receive `req` last borrowed, truncated to its
@@ -191,7 +185,6 @@ class Rank {
     int src = kAnySource;
 
     // Send parameters.
-    const void* sbuf = nullptr;
     std::size_t bytes = 0;
     int dst = -1;
     /// Send: the payload captured at isend time (rendezvous).  Persistent
@@ -201,9 +194,6 @@ class Rank {
     Tag tag = 0;
     MpiStatus status;
     RequestId id = kNullRequest;
-    /// For persistent sends re-issued through isend(): the persistent
-    /// request whose completion mirrors this temporary one.
-    RequestId imm_alias = kNullRequest;
   };
 
   /// Takes a free slot (or grows the table) and returns its request,
@@ -264,9 +254,6 @@ class Mpi {
   const Config& config() const { return cfg_; }
   int size() const { return static_cast<int>(ranks_.size()); }
   Rank& rank(int r) { return *ranks_.at(static_cast<std::size_t>(r)); }
-
-  /// Sets the allow_overtaking info key (recorded; see Config).
-  void set_allow_overtaking(bool v) { cfg_.allow_overtaking = v; }
 
  private:
   friend class Rank;
