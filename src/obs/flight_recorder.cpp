@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/artifact.hpp"
+
 namespace obs {
 
 const char* flight_kind_name(FlightKind k) {
@@ -28,22 +30,10 @@ FlightRecorder& FlightRecorder::global() {
   return instance;
 }
 
-FlightRecorder::FlightRecorder() {
-  capacity_ = 256;
-  if (const char* p = std::getenv("AMTLCE_FLIGHT_RING");
-      p != nullptr && *p != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 0);
-    if (end != p && *end == '\0' && v > 0 && v <= (1u << 20)) {
-      capacity_ = static_cast<std::size_t>(v);
-    }
-  }
-}
-
 void FlightRecorder::begin_run(int num_nodes) {
   num_nodes_ = num_nodes < 0 ? 0 : num_nodes;
   rings_.assign(static_cast<std::size_t>(num_nodes_) + 1, Ring{});
-  for (Ring& r : rings_) r.buf.resize(capacity_);
+  for (Ring& r : rings_) r.buf.resize(kRingCapacity);
 }
 
 std::uint64_t FlightRecorder::total_records(int node) const {
@@ -72,21 +62,6 @@ std::vector<FlightRecord> FlightRecorder::snapshot(int node) const {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 void append_section(std::string& out, const char* key,
                     std::string_view value_json) {
   out += "  \"";
@@ -108,10 +83,10 @@ std::string FlightRecorder::bundle_json(std::string_view reason,
   std::string out;
   out.reserve(1u << 16);
   out += "{\n  \"bench\": \"postmortem\",\n  \"schema_version\": 1,\n";
-  out += "  \"reason\": \"";
-  append_escaped(out, reason);
-  out += "\",\n";
-  out += "  \"ring_capacity\": " + std::to_string(capacity_) + ",\n";
+  out += "  \"reason\": ";
+  append_json_string(out, reason);
+  out += ",\n";
+  out += "  \"ring_capacity\": " + std::to_string(kRingCapacity) + ",\n";
   out += "  \"num_nodes\": " + std::to_string(num_nodes_) + ",\n";
   out += "  \"rings\": [";
   bool first_ring = true;
@@ -144,29 +119,20 @@ std::string FlightRecorder::bundle_json(std::string_view reason,
   return out;
 }
 
-std::string FlightRecorder::dump_postmortem(std::string_view reason,
-                                            std::string_view config_json,
-                                            std::string_view crash_schedule_json,
-                                            std::string_view metrics_json,
-                                            std::string path) const {
-  if (path.empty()) {
-    const char* p = std::getenv("AMTLCE_POSTMORTEM");
-    if (p != nullptr &&
-        (std::string_view(p) == "off" || std::string_view(p) == "0")) {
-      return {};
-    }
-    path = (p != nullptr && *p != '\0') ? p : "postmortem.json";
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot open postmortem file '%s'\n",
-                 path.c_str());
+std::string FlightRecorder::dump_postmortem(
+    std::string_view reason, std::string_view config_json,
+    std::string_view crash_schedule_json, std::string_view metrics_json) const {
+  const char* p = std::getenv("AMTLCE_POSTMORTEM");
+  if (p != nullptr &&
+      (std::string_view(p) == "off" || std::string_view(p) == "0")) {
     return {};
   }
-  const std::string text =
-      bundle_json(reason, config_json, crash_schedule_json, metrics_json);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  const std::string path = (p != nullptr && *p != '\0') ? p : "postmortem.json";
+  if (!write_file(path, bundle_json(reason, config_json, crash_schedule_json,
+                                    metrics_json),
+                  "postmortem")) {
+    return {};
+  }
   std::fprintf(stderr, "postmortem bundle written to %s (%s)\n", path.c_str(),
                std::string(reason).c_str());
   return path;

@@ -20,10 +20,9 @@
 //
 // dump_postmortem() renders the rings plus caller-supplied context (final
 // metrics, crash schedule, config) as one JSON bundle.  The drivers call
-// it automatically whenever a run ends with RunStatus != Ok; tests call
-// it when a soak invariant trips.  AMTLCE_POSTMORTEM overrides the
-// output path ("off"/"0" disables the automatic dump); AMTLCE_FLIGHT_RING
-// overrides the per-node ring capacity (default 256).
+// it automatically whenever a run ends with RunStatus != Ok.
+// AMTLCE_POSTMORTEM overrides the output path ("off"/"0" disables the
+// automatic dump).
 #pragma once
 
 #include <cstdint>
@@ -79,8 +78,6 @@ class FlightRecorder {
   /// The process-wide recorder the hot paths write to.
   static FlightRecorder& global();
 
-  FlightRecorder();
-
   /// Clears every ring and sizes the per-node set for a new simulation of
   /// `num_nodes` nodes (index num_nodes is the cluster-wide ring).
   /// Called by Fabric construction — rings always describe the latest run.
@@ -112,7 +109,9 @@ class FlightRecorder {
     ++r.total;
   }
 
-  std::size_t ring_capacity() const { return capacity_; }
+  /// Records each ring keeps: the last few hundred events per node.
+  static constexpr std::size_t kRingCapacity = 256;
+
   int num_nodes() const { return num_nodes_; }
 
   /// Records written to `node`'s ring over the run (>= what the ring
@@ -131,15 +130,13 @@ class FlightRecorder {
                           std::string_view crash_schedule_json,
                           std::string_view metrics_json) const;
 
-  /// Writes bundle_json() to `path` (or, when `path` is empty, to the
-  /// AMTLCE_POSTMORTEM path, defaulting to "postmortem.json"; the env
-  /// values "off"/"0" suppress the dump).  Returns the path written, or
-  /// empty when suppressed/failed.
+  /// Writes bundle_json() to the AMTLCE_POSTMORTEM path, defaulting to
+  /// "postmortem.json"; the values "off"/"0" suppress the dump.  Returns
+  /// the path written, or empty when suppressed/failed.
   std::string dump_postmortem(std::string_view reason,
                               std::string_view config_json,
                               std::string_view crash_schedule_json,
-                              std::string_view metrics_json,
-                              std::string path = {}) const;
+                              std::string_view metrics_json) const;
 
  private:
   struct Ring {
@@ -150,7 +147,6 @@ class FlightRecorder {
 
   bool enabled_ = true;
   int num_nodes_ = 0;
-  std::size_t capacity_;
   std::vector<Ring> rings_;  ///< [0]: cluster; [n+1]: node n
 };
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+
+#include "obs/artifact.hpp"
 
 namespace obs {
 
@@ -100,38 +101,6 @@ void Recorder::merge(const Recorder& o) {
   for (const auto& [name, c] : o.counters_) counter(name).merge(c);
   for (const auto& [name, h] : o.histograms_) histogram(name).merge(h);
 }
-
-namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  // %.17g round-trips doubles, keeping identical runs byte-identical.
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
 
 std::string metrics_json(const Recorder& rec) {
   std::string out;

@@ -1,40 +1,15 @@
 #include "obs/timeline.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 
 #include "des/trace_sink.hpp"
+#include "obs/artifact.hpp"
 
 namespace obs {
 namespace {
-
-void append_num(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
 
 std::string counter_name(const ProbeSeries& s) {
   // Chrome-trace counters are keyed by (pid, name) — the tid is not part
@@ -172,60 +147,42 @@ std::string Timeline::json() const {
   out += "  \"phases\": [";
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    { \"name\": \"";
-    append_escaped(out, phases_[i].name);
-    out += "\", \"t_ns\": " + std::to_string(phases_[i].t) + " }";
+    out += "    { \"name\": ";
+    append_json_string(out, phases_[i].name);
+    out += ", \"t_ns\": " + std::to_string(phases_[i].t) + " }";
   }
   out += phases_.empty() ? "],\n" : "\n  ],\n";
   out += "  \"probes\": [";
   for (std::size_t i = 0; i < probes_.size(); ++i) {
     const ProbeSeries& s = probes_[i].series;
     out += i == 0 ? "\n" : ",\n";
-    out += "    { \"name\": \"";
-    append_escaped(out, s.name);
-    out += "\", \"node\": " + std::to_string(s.node);
+    out += "    { \"name\": ";
+    append_json_string(out, s.name);
+    out += ", \"node\": " + std::to_string(s.node);
     out += ", \"samples\": " + std::to_string(s.samples);
     out += ", \"stored\": " + std::to_string(s.times.size());
     out += ", \"dropped\": " + std::to_string(s.dropped);
     out += ", \"min\": ";
-    append_num(out, s.min);
+    append_json_number(out, s.min);
     out += ", \"max\": ";
-    append_num(out, s.max);
+    append_json_number(out, s.max);
     out += ", \"t_max_ns\": " + std::to_string(s.t_max);
     out += ", \"last\": ";
-    append_num(out, s.last);
+    append_json_number(out, s.last);
     out += ", \"tw_mean\": ";
-    append_num(out, s.tw_mean());
+    append_json_number(out, s.tw_mean());
     out += ",\n      \"points\": [";
     for (std::size_t j = 0; j < s.times.size(); ++j) {
       if (j != 0) out += ',';
       out += '[';
       out += std::to_string(s.times[j]);
       out += ',';
-      append_num(out, s.values[j]);
+      append_json_number(out, s.values[j]);
       out += ']';
     }
     out += "] }";
   }
   out += probes_.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-std::string Timeline::csv() const {
-  std::string out = "probe,node,t_ns,value\n";
-  for (const Probe& p : probes_) {
-    const ProbeSeries& s = p.series;
-    for (std::size_t j = 0; j < s.times.size(); ++j) {
-      out += s.name;
-      out += ',';
-      out += std::to_string(s.node);
-      out += ',';
-      out += std::to_string(s.times[j]);
-      out += ',';
-      append_num(out, s.values[j]);
-      out += '\n';
-    }
-  }
   return out;
 }
 
@@ -292,17 +249,7 @@ std::string Timeline::report(int k) const {
 void Timeline::write() {
   if (written_ || cfg_.path.empty()) return;
   written_ = true;
-  std::FILE* f = std::fopen(cfg_.path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot open timeline file '%s'\n",
-                 cfg_.path.c_str());
-    return;
-  }
-  const bool as_csv = cfg_.path.size() >= 4 &&
-                      cfg_.path.compare(cfg_.path.size() - 4, 4, ".csv") == 0;
-  const std::string text = as_csv ? csv() : json();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  write_file(cfg_.path, json(), "timeline");
 }
 
 std::unique_ptr<Timeline> Timeline::attach_from_env(des::Engine& engine) {
@@ -310,11 +257,7 @@ std::unique_ptr<Timeline> Timeline::attach_from_env(des::Engine& engine) {
   if (!cfg.enabled() || cfg.path.empty()) return nullptr;
   // Multi-simulation processes keep every timeline, like the Tracer.
   static int attach_count = 0;
-  if (attach_count > 0) {
-    cfg.path += '.';
-    cfg.path += std::to_string(attach_count);
-  }
-  ++attach_count;
+  cfg.path = numbered_path(std::move(cfg.path), attach_count);
   auto tl = std::make_unique<Timeline>(std::move(cfg));
   tl->arm(engine);
   return tl;

@@ -19,8 +19,8 @@
 //   * Perfetto counter tracks: each stored sample is forwarded to a
 //     des::TraceSink as a ph:"C" point, so curves render interleaved
 //     with the span/flow tracks of the same AMTLCE_TRACE file.
-//   * json() / csv(): a schema-stable dump (schema_version 1) for the
-//     bench harness; write() picks the format from the path extension.
+//   * json(): a schema-stable dump (schema_version 1) for the bench
+//     harness; write() puts it on disk.
 //   * report(): a top-k bottleneck summary (deepest probes by family,
 //     phase attribution) the drivers print after a run.
 //
@@ -141,16 +141,12 @@ class Timeline final : public des::Sampler {
   /// Deterministic: identical runs render byte-identically.
   std::string json() const;
 
-  /// CSV dump: one "probe,node,t_ns,value" row per stored sample.
-  std::string csv() const;
-
   /// Top-k bottleneck summary: per probe family (name prefix up to the
   /// last '.'), the k series with the largest peak, plus phase makespan
   /// attribution.  Human-readable; printed by the drivers.
   std::string report(int k = 3) const;
 
-  /// Writes json() or csv() — chosen by the path extension (".csv" =>
-  /// CSV) — to cfg.path.  No-op when the path is empty; idempotent.
+  /// Writes json() to cfg.path.  No-op when the path is empty; idempotent.
   void write();
 
   /// When AMTLCE_TIMELINE is set, creates a Timeline and arms it as

@@ -1,42 +1,12 @@
 #include "obs/trace.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/artifact.hpp"
+
 namespace obs {
 namespace {
-
-/// Escapes a string for embedding in a JSON string literal.
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 /// Nanoseconds -> microseconds with three decimals, Chrome's ts unit.
 void append_us(std::string& out, std::int64_t ns) {
@@ -47,146 +17,12 @@ void append_us(std::string& out, std::int64_t ns) {
   out += buf;
 }
 
-/// Recursive-descent JSON well-formedness checker (no semantics, no DOM).
-struct JsonChecker {
-  std::string_view text;
-  std::size_t i = 0;
-
-  void skip_ws() {
-    while (i < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-  }
-
-  bool string() {
-    if (i >= text.size() || text[i] != '"') return false;
-    ++i;
-    while (i < text.size()) {
-      const char c = text[i];
-      if (c == '\\') {
-        if (i + 1 >= text.size()) return false;
-        i += 2;
-        continue;
-      }
-      ++i;
-      if (c == '"') return true;
-    }
-    return false;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(i, word.size()) != word) return false;
-    i += word.size();
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = i;
-    if (i < text.size() && text[i] == '-') ++i;
-    std::size_t digits = 0;
-    while (i < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[i]))) {
-      ++i;
-      ++digits;
-    }
-    if (digits == 0) return false;
-    if (i < text.size() && text[i] == '.') {
-      ++i;
-      digits = 0;
-      while (i < text.size() &&
-             std::isdigit(static_cast<unsigned char>(text[i]))) {
-        ++i;
-        ++digits;
-      }
-      if (digits == 0) return false;
-    }
-    if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
-      ++i;
-      if (i < text.size() && (text[i] == '+' || text[i] == '-')) ++i;
-      digits = 0;
-      while (i < text.size() &&
-             std::isdigit(static_cast<unsigned char>(text[i]))) {
-        ++i;
-        ++digits;
-      }
-      if (digits == 0) return false;
-    }
-    return i > start;
-  }
-
-  bool value(int depth) {  // NOLINT(misc-no-recursion)
-    if (depth > 256) return false;
-    skip_ws();
-    if (i >= text.size()) return false;
-    const char c = text[i];
-    if (c == '"') return string();
-    if (c == '{') {
-      ++i;
-      skip_ws();
-      if (i < text.size() && text[i] == '}') {
-        ++i;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        if (!string()) return false;
-        skip_ws();
-        if (i >= text.size() || text[i] != ':') return false;
-        ++i;
-        if (!value(depth + 1)) return false;
-        skip_ws();
-        if (i < text.size() && text[i] == ',') {
-          ++i;
-          continue;
-        }
-        break;
-      }
-      if (i >= text.size() || text[i] != '}') return false;
-      ++i;
-      return true;
-    }
-    if (c == '[') {
-      ++i;
-      skip_ws();
-      if (i < text.size() && text[i] == ']') {
-        ++i;
-        return true;
-      }
-      while (true) {
-        if (!value(depth + 1)) return false;
-        skip_ws();
-        if (i < text.size() && text[i] == ',') {
-          ++i;
-          continue;
-        }
-        break;
-      }
-      if (i >= text.size() || text[i] != ']') return false;
-      ++i;
-      return true;
-    }
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-};
-
 }  // namespace
 
 TraceConfig TraceConfig::from_env() {
   TraceConfig cfg;
   if (const char* p = std::getenv("AMTLCE_TRACE"); p != nullptr && *p != '\0') {
     cfg.path = p;
-  }
-  if (const char* p = std::getenv("AMTLCE_TRACE_MAX_EVENTS");
-      p != nullptr && *p != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 0);
-    if (end != p && *end == '\0' && v > 0) {
-      cfg.max_events = static_cast<std::size_t>(v);
-    }
   }
   return cfg;
 }
@@ -255,36 +91,25 @@ std::string Tracer::json() const {
     first = false;
     out += "{\"ph\":\"M\",\"pid\":0,\"tid\":";
     out += std::to_string(tid);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    append_escaped(out, tracks_[tid]);
-    out += "\"}}";
+    out += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    append_json_string(out, tracks_[tid]);
+    out += "}}";
   }
   for (const Event& e : events_) {
     if (!first) out += ',';
     first = false;
     switch (e.kind) {
       case Kind::Instant:
-        out += "{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":";
-        out += std::to_string(e.tid);
-        out += ",\"ts\":";
-        append_us(out, e.ts);
+        out += "{\"ph\":\"i\",\"s\":\"t\"";
         break;
       case Kind::Span:
-        out += "{\"ph\":\"X\",\"pid\":0,\"tid\":";
-        out += std::to_string(e.tid);
-        out += ",\"ts\":";
-        append_us(out, e.ts);
-        out += ",\"dur\":";
-        append_us(out, e.dur);
+        out += "{\"ph\":\"X\"";
         break;
       case Kind::Counter:
         // Counter tracks: the viewer keys series by (pid, name), renders
         // the value as a stepped area chart, and holds each point until
         // the next one.
-        out += "{\"ph\":\"C\",\"pid\":0,\"tid\":";
-        out += std::to_string(e.tid);
-        out += ",\"ts\":";
-        append_us(out, e.ts);
+        out += "{\"ph\":\"C\"";
         break;
       case Kind::FlowBegin:
       case Kind::FlowEnd:
@@ -292,26 +117,25 @@ std::string Tracer::json() const {
         // and binds each end to the slice enclosing ts on its track.
         // bp:"e" attaches the finish to the enclosing slice rather than
         // the next one, which is what a message-delivery handler wants.
-        out += "{\"ph\":\"";
-        out += (e.kind == Kind::FlowBegin) ? 's' : 'f';
-        out += '"';
-        if (e.kind == Kind::FlowEnd) out += ",\"bp\":\"e\"";
+        out += e.kind == Kind::FlowBegin ? "{\"ph\":\"s\""
+                                         : "{\"ph\":\"f\",\"bp\":\"e\"";
         out += ",\"cat\":\"flow\",\"id\":";
         out += std::to_string(e.flow_id);
-        out += ",\"pid\":0,\"tid\":";
-        out += std::to_string(e.tid);
-        out += ",\"ts\":";
-        append_us(out, e.ts);
         break;
     }
-    out += ",\"name\":\"";
-    append_escaped(out, e.name);
-    out += '"';
+    out += ",\"pid\":0,\"tid\":";
+    out += std::to_string(e.tid);
+    out += ",\"ts\":";
+    append_us(out, e.ts);
+    if (e.kind == Kind::Span) {
+      out += ",\"dur\":";
+      append_us(out, e.dur);
+    }
+    out += ",\"name\":";
+    append_json_string(out, e.name);
     if (e.kind == Kind::Counter) {
-      char buf[48];
-      std::snprintf(buf, sizeof buf, "%.17g", e.value);
       out += ",\"args\":{\"value\":";
-      out += buf;
+      append_json_number(out, e.value);
       out += '}';
     }
     out += '}';
@@ -323,15 +147,7 @@ std::string Tracer::json() const {
 void Tracer::write() {
   if (written_ || !cfg_.enabled()) return;
   written_ = true;
-  std::FILE* f = std::fopen(cfg_.path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "obs: cannot open trace file '%s'\n",
-                 cfg_.path.c_str());
-    return;
-  }
-  const std::string text = json();
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  write_file(cfg_.path, json(), "trace");
 }
 
 std::unique_ptr<Tracer> Tracer::attach_from_env(des::Engine& engine) {
@@ -340,21 +156,10 @@ std::unique_ptr<Tracer> Tracer::attach_from_env(des::Engine& engine) {
   // One process may run several simulations (e.g. comm_thread_study runs
   // one per configuration); keep every trace by suffixing after the first.
   static int attach_count = 0;
-  if (attach_count > 0) {
-    cfg.path += '.';
-    cfg.path += std::to_string(attach_count);
-  }
-  ++attach_count;
+  cfg.path = numbered_path(std::move(cfg.path), attach_count);
   auto tracer = std::make_unique<Tracer>(std::move(cfg));
   engine.set_trace_sink(tracer.get());
   return tracer;
-}
-
-bool json_parse_ok(std::string_view text) {
-  JsonChecker checker{text};
-  if (!checker.value(0)) return false;
-  checker.skip_ws();
-  return checker.i == text.size();
 }
 
 }  // namespace obs

@@ -33,8 +33,7 @@ struct TraceConfig {
 
   bool enabled() const { return !path.empty(); }
 
-  /// Reads AMTLCE_TRACE (unset/empty => disabled) and
-  /// AMTLCE_TRACE_MAX_EVENTS (0 or unparsable => default cap).
+  /// Reads AMTLCE_TRACE (unset/empty => disabled).
   static TraceConfig from_env();
 };
 
@@ -95,10 +94,5 @@ class Tracer final : public des::TraceSink {
   std::uint64_t dropped_ = 0;
   bool written_ = false;
 };
-
-/// Minimal JSON well-formedness check (objects, arrays, strings, numbers,
-/// literals; no semantic validation).  Used by the trace smoke test and
-/// unit tests; returns true iff `text` is one complete JSON value.
-bool json_parse_ok(std::string_view text);
 
 }  // namespace obs

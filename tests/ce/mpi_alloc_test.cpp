@@ -125,8 +125,8 @@ std::uint64_t fingerprint_run_allocs(ce::BackendKind backend,
   cfg.ce.fd.enabled = fault_tolerant;
   cfg.ce.reliable.enabled = fault_tolerant;
   // Instruments the environment can switch on allocate on their own.
-  for (const char* var : {"AMTLCE_TRACE", "AMTLCE_TIMELINE",
-                          "AMTLCE_FLIGHT_RING", "AMTLCE_POSTMORTEM"}) {
+  for (const char* var :
+       {"AMTLCE_TRACE", "AMTLCE_TIMELINE", "AMTLCE_POSTMORTEM"}) {
     ::unsetenv(var);
   }
   (void)hicma::run_tlr_cholesky(cfg);

@@ -14,7 +14,7 @@
 
 #include "hicma/driver.hpp"
 #include "obs/stats.hpp"
-#include "obs/trace.hpp"  // json_parse_ok
+#include "json_check.hpp"
 
 namespace {
 
@@ -92,7 +92,7 @@ TEST(TimelineIntegration, SamplerPreservesFingerprintsAndIsDeterministic) {
     // Same seed, same schedule: the whole delta-encoded timeline must
     // render byte-identically run over run.
     EXPECT_EQ(a, b);
-    EXPECT_TRUE(obs::json_parse_ok(a));
+    EXPECT_TRUE(test_support::json_parse_ok(a));
     EXPECT_NE(a.find("\"des.qdepth\""), std::string::npos);
     EXPECT_NE(a.find("\"amt.ready\""), std::string::npos);
     std::remove(written[0].c_str());
@@ -129,7 +129,7 @@ TEST(PostmortemIntegration, NoSurvivorsRunEmitsCompleteBundle) {
   ASSERT_EQ(res.run_status, amt::RunStatus::ErrNoSurvivors);
   const std::string bundle = slurp(path);
   ASSERT_FALSE(bundle.empty()) << "no post-mortem bundle at " << path;
-  EXPECT_TRUE(obs::json_parse_ok(bundle));
+  EXPECT_TRUE(test_support::json_parse_ok(bundle));
   // The bundle must carry all four context sections plus the rings, and
   // the rings must hold the ground-truth crash records.
   EXPECT_NE(bundle.find("\"reason\": \"err_no_survivors\""),
@@ -186,7 +186,7 @@ TEST(MetricsExportIntegration, FabricAndLinkCountersLandInMetrics) {
   EXPECT_GT(counter("ce.fd.heartbeats"), 0u);
   // And the whole set renders into the AMTLCE_METRICS JSON document.
   const std::string json = obs::metrics_json(res.metrics);
-  EXPECT_TRUE(obs::json_parse_ok(json));
+  EXPECT_TRUE(test_support::json_parse_ok(json));
   EXPECT_NE(json.find("\"net.link.t0.up_bytes\""), std::string::npos);
   EXPECT_NE(json.find("\"ce.fd.heartbeats\""), std::string::npos);
 }

@@ -16,7 +16,7 @@
 #include <string>
 
 #include "hicma/driver.hpp"
-#include "obs/trace.hpp"
+#include "json_check.hpp"
 
 namespace {
 
@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
   ::setenv("AMTLCE_TRACE", path.c_str(), 1);
-  ::unsetenv("AMTLCE_TRACE_MAX_EVENTS");  // default cap must not drop
 
   hicma::ExperimentConfig cfg;
   cfg.nodes = 4;
@@ -68,7 +67,7 @@ int main(int argc, char** argv) {
   ss << in.rdbuf();
   const std::string text = ss.str();
 
-  if (!obs::json_parse_ok(text)) {
+  if (!test_support::json_parse_ok(text)) {
     std::fprintf(stderr, "FAIL: malformed JSON (%zu bytes)\n", text.size());
     return 1;
   }

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.hpp"  // json_parse_ok
+#include "json_check.hpp"
 
 namespace {
 
@@ -174,7 +174,7 @@ TEST(MetricsJson, EmitsParsableJsonWithAllMetricKinds) {
   r.histogram("lat_ns").add(100);
   r.histogram("lat_ns").add(300);
   const std::string j = obs::metrics_json(r);
-  EXPECT_TRUE(obs::json_parse_ok(j)) << j;
+  EXPECT_TRUE(test_support::json_parse_ok(j)) << j;
   EXPECT_NE(j.find("\"ce.puts\": 7"), std::string::npos);
   EXPECT_NE(j.find("\"lat_ns\""), std::string::npos);
   EXPECT_NE(j.find("\"count\": 2"), std::string::npos);
@@ -190,7 +190,7 @@ TEST(MetricsJson, EscapesHostileNamesAndIsDeterministic) {
   };
   const Recorder a = build();
   const std::string ja = obs::metrics_json(a);
-  EXPECT_TRUE(obs::json_parse_ok(ja)) << ja;
+  EXPECT_TRUE(test_support::json_parse_ok(ja)) << ja;
   // Identical recorders must render byte-identically (sorted iteration).
   EXPECT_EQ(ja, obs::metrics_json(build()));
 }
@@ -200,7 +200,7 @@ TEST(MetricsJson, OmitsEmptyHistograms) {
   r.histogram("resolved_never_sampled_ns");
   r.histogram("lat_ns").add(100);
   const std::string j = obs::metrics_json(r);
-  EXPECT_TRUE(obs::json_parse_ok(j)) << j;
+  EXPECT_TRUE(test_support::json_parse_ok(j)) << j;
   EXPECT_NE(j.find("\"lat_ns\""), std::string::npos);
   EXPECT_EQ(j.find("resolved_never_sampled_ns"), std::string::npos);
   // A recorder whose only histogram is empty renders like an empty one.
@@ -210,7 +210,7 @@ TEST(MetricsJson, OmitsEmptyHistograms) {
 }
 
 TEST(MetricsJson, EmptyRecorderIsValid) {
-  EXPECT_TRUE(obs::json_parse_ok(obs::metrics_json(Recorder{})));
+  EXPECT_TRUE(test_support::json_parse_ok(obs::metrics_json(Recorder{})));
 }
 
 struct TwoCounts {

@@ -9,7 +9,7 @@
 #include "des/engine.hpp"
 #include "des/trace_sink.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/trace.hpp"  // json_parse_ok
+#include "json_check.hpp"
 
 namespace {
 
@@ -161,22 +161,9 @@ TEST(Timeline, IdenticalRunsRenderIdenticalJson) {
   const std::string a = run_once();
   const std::string b = run_once();
   EXPECT_EQ(a, b);
-  EXPECT_TRUE(obs::json_parse_ok(a));
+  EXPECT_TRUE(test_support::json_parse_ok(a));
   EXPECT_NE(a.find("\"bench\": \"timeline\""), std::string::npos);
   EXPECT_NE(a.find("\"run.start\""), std::string::npos);
-}
-
-TEST(Timeline, CsvHasOneRowPerStoredSample) {
-  des::Engine eng;
-  Timeline tl(mem_config(100));
-  double level = 0;
-  tl.add_probe("level", 2, [&level]() { return level; });
-  drive(eng, tl, {50, 150}, &level);
-  tl.finish(200);
-  const std::string csv = tl.csv();
-  EXPECT_NE(csv.find("probe,node,t_ns,value"), std::string::npos);
-  EXPECT_NE(csv.find("level,2,100,1"), std::string::npos);
-  EXPECT_NE(csv.find("level,2,200,2"), std::string::npos);
 }
 
 // Counter forwarding: every STORED sample lands in the sink as a ph:"C"
@@ -254,7 +241,7 @@ TEST(TimelineConfig, FromEnvParsesPathAndInterval) {
 TEST(FlightRecorder, RingWrapsKeepingNewestOldestFirst) {
   FlightRecorder fr;
   fr.begin_run(2);
-  const std::size_t cap = fr.ring_capacity();
+  const std::size_t cap = FlightRecorder::kRingCapacity;
   const std::size_t n = cap + 10;
   for (std::size_t i = 0; i < n; ++i) {
     fr.record(1, FlightKind::MsgSend, static_cast<des::Time>(i), 0, i, 8);
@@ -312,7 +299,7 @@ TEST(FlightRecorder, BundleJsonIsParseableAndCarriesContext) {
   fr.record(-1, FlightKind::RunStatus, 300, 0, 4);
   const std::string bundle = fr.bundle_json(
       "ErrNoSurvivors", "{ \"nodes\": 2 }", "[ { \"node\": 0 } ]", "null");
-  EXPECT_TRUE(obs::json_parse_ok(bundle));
+  EXPECT_TRUE(test_support::json_parse_ok(bundle));
   EXPECT_NE(bundle.find("\"ErrNoSurvivors\""), std::string::npos);
   EXPECT_NE(bundle.find("\"crash\""), std::string::npos);      // kind names
   EXPECT_NE(bundle.find("\"fd_state\""), std::string::npos);

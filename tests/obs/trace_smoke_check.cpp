@@ -7,7 +7,7 @@
 #include <sstream>
 #include <string>
 
-#include "obs/trace.hpp"
+#include "json_check.hpp"
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     std::stringstream ss;
     ss << in.rdbuf();
     const std::string text = ss.str();
-    if (!obs::json_parse_ok(text)) {
+    if (!test_support::json_parse_ok(text)) {
       std::fprintf(stderr, "FAIL %s: malformed JSON\n", argv[i]);
       rc = 1;
     } else if (text.find("\"traceEvents\"") == std::string::npos) {

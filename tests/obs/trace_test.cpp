@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -9,10 +10,11 @@
 #include <string>
 
 #include "des/engine.hpp"
+#include "json_check.hpp"
 
 namespace {
 
-using obs::json_parse_ok;
+using test_support::json_parse_ok;
 using obs::TraceConfig;
 using obs::Tracer;
 
@@ -135,27 +137,28 @@ TEST(Tracer, BoundedBufferCountsDroppedEvents) {
   EXPECT_NE(j.find("\"maxEvents\":3"), std::string::npos);
 }
 
+// JSON has no NaN or infinity: a non-finite counter sample renders as null.
+TEST(Tracer, NonFiniteCounterStaysValidJson) {
+  Tracer t(TraceConfig{});
+  t.counter("cluster.counters", "nan", 10, std::nan(""));
+  t.counter("cluster.counters", "inf", 20, HUGE_VAL);
+  t.counter("cluster.counters", "half", 30, 0.5);
+  const std::string j = t.json();
+  EXPECT_TRUE(json_parse_ok(j)) << j;
+  EXPECT_NE(j.find("\"name\":\"nan\",\"args\":{\"value\":null}"),
+            std::string::npos)
+      << j;
+  EXPECT_NE(j.find("\"name\":\"inf\",\"args\":{\"value\":null}"),
+            std::string::npos)
+      << j;
+  EXPECT_NE(j.find("\"args\":{\"value\":0.5}"), std::string::npos) << j;
+}
+
 TEST(Tracer, DefaultCapReportsZeroDrops) {
   Tracer t(TraceConfig{});
   t.span("a", "s", 0, 1);
   EXPECT_EQ(t.dropped_events(), 0u);
   EXPECT_NE(t.json().find("\"droppedEvents\":0"), std::string::npos);
-}
-
-TEST(TraceConfig, MaxEventsFromEnv) {
-  ::setenv("AMTLCE_TRACE", "cap_test.json", 1);
-  ::setenv("AMTLCE_TRACE_MAX_EVENTS", "12345", 1);
-  EXPECT_EQ(TraceConfig::from_env().max_events, 12345u);
-  ::setenv("AMTLCE_TRACE_MAX_EVENTS", "0", 1);  // nonsense: keep default
-  EXPECT_EQ(TraceConfig::from_env().max_events,
-            TraceConfig::kDefaultMaxEvents);
-  ::setenv("AMTLCE_TRACE_MAX_EVENTS", "banana", 1);
-  EXPECT_EQ(TraceConfig::from_env().max_events,
-            TraceConfig::kDefaultMaxEvents);
-  ::unsetenv("AMTLCE_TRACE_MAX_EVENTS");
-  EXPECT_EQ(TraceConfig::from_env().max_events,
-            TraceConfig::kDefaultMaxEvents);
-  ::unsetenv("AMTLCE_TRACE");
 }
 
 TEST(TraceConfig, DisabledWithoutEnv) {
