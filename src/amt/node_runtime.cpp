@@ -21,13 +21,9 @@ NodeRuntime::~NodeRuntime() {
 }
 
 void NodeRuntime::start() {
-  // Worker threads.
-  workers_.reserve(static_cast<std::size_t>(cfg_.workers));
-  for (int w = 0; w < cfg_.workers; ++w) {
-    workers_.push_back(std::make_unique<des::SimThread>(
-        eng_, "worker-" + std::to_string(rank_) + "." + std::to_string(w)));
-    idle_workers_.push_back(w);
-  }
+  // Worker slots; a worker's thread is built when it first gets a task.
+  workers_.resize(static_cast<std::size_t>(cfg_.workers));
+  for (int w = 0; w < cfg_.workers; ++w) idle_workers_.push_back(w);
   running_.resize(static_cast<std::size_t>(cfg_.workers));
 
   // Communication thread + poll loop.
@@ -78,15 +74,25 @@ void NodeRuntime::start() {
   }
 }
 
+int NodeRuntime::workers_started() const {
+  return static_cast<int>(
+      std::count_if(workers_.begin(), workers_.end(),
+                    [](const auto& w) { return w != nullptr; }));
+}
+
 des::Duration NodeRuntime::worker_busy_time() const {
   des::Duration total = 0;
-  for (const auto& w : workers_) total += w->busy_time();
+  for (const auto& w : workers_) {
+    if (w) total += w->busy_time();
+  }
   return total;
 }
 
 des::Time NodeRuntime::threads_free_at() const {
   des::Time t = 0;
-  for (const auto& w : workers_) t = std::max(t, w->free_at());
+  for (const auto& w : workers_) {
+    if (w) t = std::max(t, w->free_at());
+  }
   t = std::max(t, comm_thread_->free_at());
   return t;
 }
@@ -138,10 +144,15 @@ void NodeRuntime::try_dispatch() {
   while (!ready_.empty() && !idle_workers_.empty()) {
     const int w = idle_workers_.back();
     idle_workers_.pop_back();
-    running_[static_cast<std::size_t>(w)] = ready_.top().slot;
+    const auto i = static_cast<std::size_t>(w);
+    running_[i] = ready_.top().slot;
     ready_.pop();
-    workers_[static_cast<std::size_t>(w)]->post_work(
-        cfg_.scheduler_cost, [this, w]() { run_task(w); }, "task");
+    if (!workers_[i]) {
+      workers_[i] = std::make_unique<des::SimThread>(
+          eng_, "worker-" + std::to_string(rank_) + "." + std::to_string(w));
+    }
+    workers_[i]->post_work(cfg_.scheduler_cost, [this, w]() { run_task(w); },
+                           "task");
   }
 }
 

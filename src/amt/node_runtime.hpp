@@ -67,6 +67,10 @@ class NodeRuntime {
   std::size_t pending_fetches() const { return pending_index_.size(); }
   int inflight_fetches() const { return inflight_fetches_; }
 
+  /// Worker threads built so far: a worker is built when it first gets a
+  /// task, and the idle list is LIFO, so this is the node's peak number
+  /// of tasks held by workers at once.
+  int workers_started() const;
   /// Aggregate busy time over worker threads (for utilization reports).
   des::Duration worker_busy_time() const;
   /// Latest charged-busy horizon across this node's worker/comm threads.
@@ -224,6 +228,7 @@ class NodeRuntime {
   FlatIndex<TaskKey, TaskKeyHash> task_index_;
   des::Slab<TaskState> task_states_;
   std::priority_queue<ReadyRef> ready_;
+  /// One slot per configured worker, null until its first task.
   std::vector<std::unique_ptr<des::SimThread>> workers_;
   /// Each worker's running task slot: the dispatch closure carries only
   /// the worker index and stays inline.

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "des/engine.hpp"
@@ -45,6 +46,18 @@ bool env_double(const char* name, double& out) {
     reject_env(name, "a finite number", v);
   }
   out = d;
+  return true;
+}
+
+/// A finite number of `unit`s, converted to simulated time; a value
+/// whose product does not fit in des::Duration throws.
+bool env_duration(const char* name, des::Duration unit, des::Duration& out) {
+  double v = 0;
+  if (!env_double(name, v)) return false;
+  const std::optional<des::Duration> d = des::checked_duration(v, unit);
+  if (!d) reject_env(name, "a duration that fits in simulated time",
+                     std::getenv(name));
+  out = *d;
   return true;
 }
 
@@ -91,9 +104,17 @@ bool env_window(const char* name, int& node, des::Time& start,
     ok = end != field && *end == (i == 0 ? ':' : '\0') && std::isfinite(ms[i]);
   }
   if (!ok || errno == ERANGE) reject_env(name, "node:start_ms:dur_ms", v);
+  // The fabric adds start and duration, so the window's end must fit too.
+  const std::optional<des::Time> t =
+      des::checked_duration(ms[0], des::kMillisecond);
+  const std::optional<des::Duration> d =
+      des::checked_duration(ms[1], des::kMillisecond);
+  if (!t || !d || !des::checked_duration(ms[0] + ms[1], des::kMillisecond)) {
+    reject_env(name, "node:start_ms:dur_ms within simulated time", v);
+  }
   node = static_cast<int>(n);
-  start = static_cast<des::Time>(ms[0] * des::kMillisecond);
-  duration = static_cast<des::Duration>(ms[1] * des::kMillisecond);
+  start = *t;
+  duration = *d;
   return true;
 }
 
@@ -116,15 +137,10 @@ bool apply_fault_env(net::FabricConfig& cfg) {
   any |= env_double("AMTLCE_FAULT_DUP", f.dup_prob);
   any |= env_double("AMTLCE_FAULT_CORRUPT", f.corrupt_prob);
   any |= env_double("AMTLCE_FAULT_SPIKE_PROB", f.spike_prob);
-  double us = 0;
-  if (env_double("AMTLCE_FAULT_SPIKE_US", us)) {
-    f.spike_max = static_cast<des::Duration>(us * des::kMicrosecond);
-    any = true;
-  }
-  if (env_double("AMTLCE_FAULT_JITTER_US", us)) {
-    f.jitter_max = static_cast<des::Duration>(us * des::kMicrosecond);
-    any = true;
-  }
+  any |= env_duration("AMTLCE_FAULT_SPIKE_US", des::kMicrosecond,
+                      f.spike_max);
+  any |= env_duration("AMTLCE_FAULT_JITTER_US", des::kMicrosecond,
+                      f.jitter_max);
   any |= env_window("AMTLCE_FAULT_BROWNOUT", f.brownout_node,
                     f.brownout_start, f.brownout_duration);
   any |= env_window("AMTLCE_FAULT_STALL", f.stall_node, f.stall_start,

@@ -61,12 +61,12 @@ Status MpiBackend::tag_reg(Tag tag, AmCallback cb, void* cb_data,
   tags_.push_back(AmTagInfo{tag, std::move(cb), cb_data, max_len});
   // Five persistent wildcard receives per tag (§4.2.1), bufferless.
   for (int i = 0; i < cfg_.persistent_recvs_per_tag; ++i) {
-    Entry e;
-    e.kind = Entry::Kind::AmRecv;
-    e.am = am;
-    e.req = rank_.recv_init(max_len, mmpi::kAnySource, tag);
-    rank_.start(e.req);
-    entries_.push_back(std::move(e));
+    const mmpi::RequestId req =
+        rank_.recv_init(max_len, mmpi::kAnySource, tag);
+    rank_.start(req);
+    reqs_.push_back(req);
+    handles_.push_back(
+        Handle{Handle::Kind::AmRecv, static_cast<std::uint32_t>(am)});
     ++am_entries_;
   }
   return Status::Ok;
@@ -111,86 +111,95 @@ int MpiBackend::put(const MemReg& lreg, std::ptrdiff_t ldispl,
   des::emit_flow(rank_.engine(), "put", put_flow_id(rank(), data_tag),
                  /*begin=*/true);
 
-  Entry e;
-  e.kind = Entry::Kind::DataSend;
-  e.l_cb = std::move(l_cb);
-  e.l_cb_data = l_cb_data;
-  e.lreg = lreg;
-  e.rreg = rreg;
-  e.ldispl = ldispl;
-  e.rdispl = rdispl;
-  e.size = size;
-  e.remote = remote;
-  e.data_tag = data_tag;
-  e.started = rank_.engine().now();
+  const std::uint32_t slot = transfers_.acquire();
+  Transfer& t = transfers_[slot];
+  t.kind = Handle::Kind::DataSend;
+  t.req = mmpi::kNullRequest;
+  t.peer = remote;
+  t.size = size;
+  t.data_tag = data_tag;
+  t.started = rank_.engine().now();
+  t.l_cb = std::move(l_cb);
+  t.l_cb_data = l_cb_data;
+  t.lreg = lreg;
+  t.rreg = rreg;
+  t.ldispl = ldispl;
+  t.rdispl = rdispl;
 
   if (data_entries_active() < cfg_.max_concurrent_transfers) {
-    start_data_send(std::move(e));
+    start_data_send(slot);
   } else {
     // No space in the global array: defer posting the send (§4.2.2).
     ++stats_.puts_deferred;
-    pending_.push_back(Pending{Pending::What::StartSend, std::move(e)});
+    deferred_.push_back(slot);
   }
   return 0;
 }
 
-void MpiBackend::start_data_send(Entry&& e) {
+void MpiBackend::push_transfer(std::uint32_t slot) {
+  const Transfer& t = transfers_[slot];
+  reqs_.push_back(t.req);
+  handles_.push_back(Handle{t.kind, slot});
+}
+
+void MpiBackend::start_data_send(std::uint32_t slot) {
+  Transfer& t = transfers_[slot];
   const void* src = nullptr;
-  if (e.lreg.base != nullptr) {
-    src = static_cast<const std::byte*>(e.lreg.base) + e.ldispl;
+  if (t.lreg.base != nullptr) {
+    src = static_cast<const std::byte*>(t.lreg.base) + t.ldispl;
   }
-  e.req = rank_.isend(src, e.size, e.remote, e.data_tag);
-  entries_.push_back(std::move(e));
+  t.req = rank_.isend(src, t.size, t.peer, t.data_tag);
+  push_transfer(slot);
+}
+
+void MpiBackend::release_transfer(std::uint32_t slot) {
+  transfers_[slot].l_cb = nullptr;  // drops what the callback captured
+  transfers_.release(slot);
 }
 
 void MpiBackend::handle_handshake(const void* msg, std::size_t size,
                                   int src) {
   const auto v = HandshakeView::parse(msg, size);
-  Entry e;
-  e.kind = Entry::Kind::DataRecv;
-  e.r_tag = v.hdr.r_tag;
-  if (v.hdr.r_cb_size > 0) {
-    if (!cb_spares_.empty()) {
-      e.r_cb_data = std::move(cb_spares_.back());
-      cb_spares_.pop_back();
-    }
-    e.r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
-  }
-  e.origin = src;
-  e.size = static_cast<std::size_t>(v.hdr.size);
-  e.data_tag = v.hdr.data_tag;
-  e.started = rank_.engine().now();
+  const std::uint32_t slot = transfers_.acquire();
+  Transfer& t = transfers_[slot];
+  t.kind = Handle::Kind::DataRecv;
+  t.peer = src;
+  t.size = static_cast<std::size_t>(v.hdr.size);
+  t.data_tag = v.hdr.data_tag;
+  t.started = rank_.engine().now();
+  t.r_tag = v.hdr.r_tag;
+  t.r_cb_data.assign(v.r_cb_data, v.r_cb_data + v.hdr.r_cb_size);
   void* dst = nullptr;
   if (v.hdr.rbase != 0) {
     dst = reinterpret_cast<std::byte*>(v.hdr.rbase) + v.hdr.rdispl;
   }
   // The receive is posted either way; without array space the request is
   // "dynamically allocated" and not polled until promoted (§4.2.2).
-  e.req = rank_.irecv(dst, e.size, src, v.hdr.data_tag);
+  t.req = rank_.irecv(dst, t.size, src, v.hdr.data_tag);
   if (data_entries_active() < cfg_.max_concurrent_transfers) {
-    entries_.push_back(std::move(e));
+    push_transfer(slot);
   } else {
     ++stats_.recvs_dynamic;
-    pending_.push_back(Pending{Pending::What::PromoteRecv, std::move(e)});
+    deferred_.push_back(slot);
   }
 }
 
 void MpiBackend::drain_pending() {
-  while (!pending_.empty() &&
+  while (!deferred_.empty() &&
          data_entries_active() < cfg_.max_concurrent_transfers) {
-    Pending p = std::move(pending_.front());
-    pending_.pop_front();
-    if (p.what == Pending::What::StartSend) {
-      start_data_send(std::move(p.entry));
+    const std::uint32_t slot = deferred_.pop_front();
+    if (transfers_[slot].kind == Handle::Kind::DataSend) {
+      start_data_send(slot);
     } else {
-      entries_.push_back(std::move(p.entry));  // request already posted
+      push_transfer(slot);  // request already posted
     }
   }
 }
 
-void MpiBackend::run_am_callback(const Entry& e, const mmpi::MpiStatus& st) {
+void MpiBackend::run_am_callback(std::size_t am, mmpi::RequestId req,
+                                 const mmpi::MpiStatus& st) {
   des::charge_current(cfg_.dispatch_cost);
-  const AmTagInfo& t = tags_[e.am];
+  const AmTagInfo& t = tags_[am];
   ++stats_.ams_delivered;
   std::optional<des::ChargeSpan> span;
   if (rank_.engine().trace_sink() != nullptr) {
@@ -199,8 +208,8 @@ void MpiBackend::run_am_callback(const Entry& e, const mmpi::MpiStatus& st) {
                   static_cast<unsigned long long>(t.tag));
     span.emplace(rank_.engine(), label);
   }
-  // The borrowed bytes stay readable until progress() restarts e.req.
-  t.cb(*this, t.tag, rank_.received(e.req).data(), st.count, st.source,
+  // The borrowed bytes stay readable until progress() restarts req.
+  t.cb(*this, t.tag, rank_.received(req).data(), st.count, st.source,
        t.cb_data);
 }
 
@@ -210,86 +219,89 @@ int MpiBackend::progress() {
   // repeat until a pass completes nothing.
   for (;;) {
     des::charge_current(cfg_.loop_cost);
-    ids_.clear();
-    for (const Entry& e : entries_) ids_.push_back(e.req);
-    rank_.testsome(ids_, done_);
+    rank_.testsome(reqs_, done_);
     if (done_.indices.empty()) break;
 
     for (std::size_t k = 0; k < done_.indices.size(); ++k) {
       const std::size_t idx = done_.indices[k];
       const mmpi::MpiStatus& st = done_.statuses[k];
-      // Callbacks may append entries (reentrant put/send_am): access by
-      // index, never hold references across a callback.
-      switch (entries_[idx].kind) {
-        case Entry::Kind::AmRecv: {
-          run_am_callback(entries_[idx], st);
-          rank_.start(entries_[idx].req);  // re-enable the persistent recv
+      // Callbacks may append entries (reentrant put/send_am): read the
+      // arrays by index, never hold references into them across a
+      // callback.  Transfer slots keep their address.
+      const Handle h = handles_[idx];
+      switch (h.kind) {
+        case Handle::Kind::AmRecv: {
+          run_am_callback(h.index, reqs_[idx], st);
+          rank_.start(reqs_[idx]);  // re-enable the persistent recv
           break;
         }
-        case Entry::Kind::DataSend: {
+        case Handle::Kind::DataSend: {
           des::charge_current(cfg_.dispatch_cost);
-          Entry& e = entries_[idx];
+          Transfer& t = transfers_[h.index];
           ++stats_.puts_completed_local;
           if (put_local_ns_ != nullptr) {
             put_local_ns_->add(
-                static_cast<double>(rank_.engine().now() - e.started));
+                static_cast<double>(rank_.engine().now() - t.started));
           }
-          if (e.l_cb) {
+          if (t.l_cb) {
             std::optional<des::ChargeSpan> span;
             if (rank_.engine().trace_sink() != nullptr) {
               span.emplace(rank_.engine(), "put.l_cb");
             }
-            e.l_cb(*this, e.lreg, e.ldispl, e.rreg, e.rdispl, e.size,
-                   e.remote, e.l_cb_data);
+            t.l_cb(*this, t.lreg, t.ldispl, t.rreg, t.rdispl, t.size, t.peer,
+                   t.l_cb_data);
           }
           break;
         }
-        case Entry::Kind::DataRecv: {
+        case Handle::Kind::DataRecv: {
           des::charge_current(cfg_.dispatch_cost);
           ++stats_.puts_completed_remote;
           // Remote completion: invoke the AM callback registered for
           // r_tag with the callback data from the handshake.
-          const Entry& e = entries_[idx];
+          const Transfer& t = transfers_[h.index];
           if (put_remote_ns_ != nullptr) {
             put_remote_ns_->add(
-                static_cast<double>(rank_.engine().now() - e.started));
+                static_cast<double>(rank_.engine().now() - t.started));
           }
-          const AmTagInfo* t = find_tag(e.r_tag);
-          assert(t != nullptr && "put r_tag not registered");
+          const AmTagInfo* tag = find_tag(t.r_tag);
+          assert(tag != nullptr && "put r_tag not registered");
           std::optional<des::ChargeSpan> span;
           if (rank_.engine().trace_sink() != nullptr) {
             span.emplace(rank_.engine(), "put.r_cb");
           }
           des::emit_flow(rank_.engine(), "put",
-                         put_flow_id(e.origin, e.data_tag),
+                         put_flow_id(t.peer, t.data_tag),
                          /*begin=*/false);
-          t->cb(*this, e.r_tag, e.r_cb_data.data(), e.r_cb_data.size(),
-                e.origin, t->cb_data);
-          // Keep the buffer for the next handshake's callback data.
-          std::vector<std::byte>& spent = entries_[idx].r_cb_data;
-          if (spent.capacity() > 0) cb_spares_.push_back(std::move(spent));
+          tag->cb(*this, t.r_tag, t.r_cb_data.data(), t.r_cb_data.size(),
+                  t.peer, tag->cb_data);
           break;
         }
       }
       ++total;
     }
 
-    // Compact in place: completed data entries leave, persistent AM
-    // receives stay.  Stable, because array order is testsome index
-    // order, which is callback order; entries appended by callbacks
-    // stay at the back.
+    // Compact in place: completed data entries leave and free their
+    // transfer slots, persistent AM receives stay.  Stable, because array
+    // order is testsome index order, which is callback order; entries
+    // appended by callbacks stay at the back.
     const std::vector<std::size_t>& done = done_.indices;
     std::size_t w = done.front();
-    for (std::size_t i = w, k = 0; i < entries_.size(); ++i) {
+    for (std::size_t i = w, k = 0; i < handles_.size(); ++i) {
       if (k < done.size() && done[k] == i) {
         ++k;
-        if (entries_[i].kind != Entry::Kind::AmRecv) continue;
+        if (handles_[i].kind != Handle::Kind::AmRecv) {
+          release_transfer(handles_[i].index);
+          continue;
+        }
       }
-      if (w != i) entries_[w] = std::move(entries_[i]);
+      if (w != i) {
+        reqs_[w] = reqs_[i];
+        handles_[w] = handles_[i];
+      }
       ++w;
     }
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
-                   entries_.end());
+    reqs_.resize(w);
+    handles_.resize(w);
 
     drain_pending();
   }
@@ -301,67 +313,69 @@ void MpiBackend::peer_failed(int remote) {
   // its request and release its array slot so the 30-entry cap (§4.2.2)
   // is not permanently consumed by a corpse.  Idempotent — after the
   // first call nothing matching `remote` remains.
-  std::vector<Entry> released_sends;
+  //
+  // Put sends are locally complete the moment the data leaves the origin
+  // buffer; their origin callback still fires (below, in array then FIFO
+  // order) so upper layers can release the tile.  The remote side is
+  // dead — no r_cb.  Receives are dropped without any callback: the data
+  // never arrived, so faking remote completion would hand garbage to the
+  // consumer.
+  std::vector<std::uint32_t> released_sends;
+  const auto drop = [&](std::uint32_t slot) {
+    const Transfer& t = transfers_[slot];
+    if (t.kind == Handle::Kind::DataSend) {
+      ++stats_.peer_failed_sends;
+      released_sends.push_back(slot);
+    } else {
+      ++stats_.peer_failed_recvs;
+      release_transfer(slot);
+    }
+  };
   std::size_t w = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    Entry& e = entries_[i];
-    const bool doomed =
-        (e.kind == Entry::Kind::DataSend && e.remote == remote) ||
-        (e.kind == Entry::Kind::DataRecv && e.origin == remote);
+  for (std::size_t i = 0; i < handles_.size(); ++i) {
+    const Handle h = handles_[i];
+    const bool doomed = h.kind != Handle::Kind::AmRecv &&
+                        transfers_[h.index].peer == remote;
     if (!doomed) {
-      if (w != i) entries_[w] = std::move(e);  // stable, in place
+      if (w != i) {  // stable, in place
+        reqs_[w] = reqs_[i];
+        handles_[w] = h;
+      }
       ++w;
       continue;
     }
-    rank_.cancel(e.req);
-    if (e.kind == Entry::Kind::DataSend) {
-      // Put sends are locally complete the moment the data leaves the
-      // origin buffer; the origin callback still fires so upper layers
-      // can release the tile.  The remote side is dead — no r_cb.
-      ++stats_.peer_failed_sends;
-      released_sends.push_back(std::move(e));
-    } else {
-      // Dropped without any callback: the data never arrived, so faking
-      // remote completion would hand garbage to the consumer.
-      ++stats_.peer_failed_recvs;
-    }
+    rank_.cancel(reqs_[i]);
+    drop(h.index);
   }
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(w),
-                 entries_.end());
+  reqs_.resize(w);
+  handles_.resize(w);
 
   // Deferred work targeting the corpse: deferred sends were never posted
   // (req unset); dynamic recvs hold a live request that must be dropped.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    Entry& e = it->entry;
-    if (it->what == Pending::What::StartSend && e.remote == remote) {
-      ++stats_.peer_failed_sends;
-      released_sends.push_back(std::move(e));
-      it = pending_.erase(it);
-    } else if (it->what == Pending::What::PromoteRecv &&
-               e.origin == remote) {
-      rank_.cancel(e.req);
-      ++stats_.peer_failed_recvs;
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  deferred_.erase_if([&](std::uint32_t slot) {
+    const Transfer& t = transfers_[slot];
+    if (t.peer != remote) return false;
+    if (t.kind == Handle::Kind::DataRecv) rank_.cancel(t.req);
+    drop(slot);
+    return true;
+  });
 
   rank_.purge_peer(remote);
-  for (Entry& e : released_sends) {
-    if (e.l_cb) {
-      e.l_cb(*this, e.lreg, e.ldispl, e.rreg, e.rdispl, e.size, e.remote,
-             e.l_cb_data);
+  for (const std::uint32_t slot : released_sends) {
+    Transfer& t = transfers_[slot];
+    if (t.l_cb) {
+      t.l_cb(*this, t.lreg, t.ldispl, t.rreg, t.rdispl, t.size, t.peer,
+             t.l_cb_data);
     }
+    release_transfer(slot);
   }
   drain_pending();
   if (wake_) wake_();
 }
 
 bool MpiBackend::idle() const {
-  if (!pending_.empty()) return false;
-  if (rank_.pending_incoming() > 0) return false;
-  return data_entries_active() == 0;
+  // Every array transfer and every deferred one holds a live slot.
+  return live_transfers() == 0 && rank_.pending_incoming() == 0;
 }
 
 }  // namespace ce

@@ -56,6 +56,10 @@ class Slab {
   /// skipping !live(s) visits the occupied slots in slot order.
   std::uint32_t size() const { return size_; }
   bool live(std::uint32_t s) const { return meta(s).live; }
+  /// Slots currently acquired.
+  std::uint32_t live_count() const {
+    return size_ - static_cast<std::uint32_t>(free_.size());
+  }
 
   /// The id of slot `s`'s current occupant.
   Id id(std::uint32_t s) const {

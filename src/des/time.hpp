@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
 namespace des {
@@ -32,6 +33,16 @@ inline constexpr Time kTimeNever = std::numeric_limits<Time>::max();
 constexpr Duration from_seconds(double seconds) {
   const double ns = seconds * 1e9;
   return static_cast<Duration>(ns + (ns >= 0 ? 0.5 : -0.5));
+}
+
+/// `count` units of `unit` as integer nanoseconds, truncated toward zero
+/// like a cast; nullopt when `count` is not finite or the product does not
+/// fit in a Time (a plain cast would then be undefined behaviour).
+inline std::optional<Duration> checked_duration(double count, Duration unit) {
+  const double ns = count * static_cast<double>(unit);
+  constexpr double kLimit = 0x1p63;  // 2^63, exact in a double
+  if (!(ns > -kLimit && ns < kLimit)) return std::nullopt;
+  return static_cast<Duration>(ns);
 }
 
 /// Converts an integer-nanosecond time to floating-point seconds.

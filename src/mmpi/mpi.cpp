@@ -217,7 +217,7 @@ void Rank::post_recv(RequestId id) {
       return;
     }
   }
-  posted_recvs_.push_back(id);
+  posted_recvs_.push_back(PostedRecv{id, r.src, r.tag});
 }
 
 void Rank::accept_rts(Request& r, net::Message& rts) {
@@ -267,17 +267,19 @@ void Rank::complete_recv_from_message(Request& r, net::Message& m) {
 // Progress
 
 Rank::Request* Rank::find_matching_posted(int src, Tag tag) {
-  const Config& cfg = mpi_.cfg_;
-  for (auto it = posted_recvs_.begin(); it != posted_recvs_.end(); ++it) {
-    des::charge_current(cfg.match_scan_cost);
-    Request& r = *find(*it);
-    const bool src_ok = (r.src == kAnySource || r.src == src);
-    if (src_ok && r.tag == tag) {
-      posted_recvs_.erase(it);
-      return &r;
-    }
-  }
-  return nullptr;
+  // One charge for the whole walk: match_scan_cost per element traversed.
+  const auto it = std::find_if(
+      posted_recvs_.begin(), posted_recvs_.end(), [&](const PostedRecv& p) {
+        return (p.src == kAnySource || p.src == src) && p.tag == tag;
+      });
+  const bool found = it != posted_recvs_.end();
+  const auto traversed = (it - posted_recvs_.begin()) + (found ? 1 : 0);
+  des::charge_current(static_cast<des::Duration>(traversed) *
+                      mpi_.cfg_.match_scan_cost);
+  if (!found) return nullptr;
+  Request* r = find(it->id);
+  posted_recvs_.erase(it);
+  return r;
 }
 
 void Rank::handle_eager(net::Message& m) {
@@ -418,7 +420,9 @@ void Rank::cancel(RequestId id) {
 
 void Rank::cancel_request(Request& r) {
   if (r.state == Request::State::Active && r.kind == Request::Kind::Recv) {
-    const auto it = std::find(posted_recvs_.begin(), posted_recvs_.end(), r.id);
+    const auto it = std::find_if(
+        posted_recvs_.begin(), posted_recvs_.end(),
+        [&r](const PostedRecv& p) { return p.id == r.id; });
     if (it != posted_recvs_.end()) posted_recvs_.erase(it);
   }
   release(r);

@@ -224,7 +224,14 @@ class Rank {
   Mpi& mpi_;
   int rank_;
   des::Ring<net::Message> incoming_;        ///< hardware queue
-  std::vector<RequestId> posted_recvs_;     ///< posted-receive queue (FIFO)
+  /// A posted receive's matching key, copied so that the matching walk
+  /// reads one plain array instead of the request table.
+  struct PostedRecv {
+    RequestId id;
+    int src;
+    Tag tag;
+  };
+  std::vector<PostedRecv> posted_recvs_;    ///< posted-receive queue (FIFO)
   des::Ring<net::Message> unexpected_;      ///< unexpected-message queue
   des::Slab<Request> requests_;             ///< request table
   /// Live requests that are Complete but not yet reported by test or

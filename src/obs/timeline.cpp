@@ -1,9 +1,12 @@
 #include "obs/timeline.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
+#include <stdexcept>
 
 #include "des/trace_sink.hpp"
 #include "obs/artifact.hpp"
@@ -34,18 +37,27 @@ TimelineConfig TimelineConfig::from_env() {
   if (p == nullptr || *p == '\0') return cfg;
   std::string spec(p);
   cfg.interval = kDefaultInterval;
-  // path[,interval_us] — the suffix after the LAST comma is taken as the
-  // cadence iff it parses as a positive number, so paths with commas in
-  // directory names still work.
-  if (const auto comma = spec.rfind(','); comma != std::string::npos) {
+  // path[,interval_us] — the text after the last comma is the cadence
+  // unless it holds a '/', in which case the comma is inside a directory
+  // name and the whole value is the path.  A cadence must parse whole as
+  // a positive number of microseconds that fits in simulated time.
+  if (const auto comma = spec.rfind(',');
+      comma != std::string::npos &&
+      spec.find('/', comma) == std::string::npos) {
     const std::string tail = spec.substr(comma + 1);
     char* end = nullptr;
+    errno = 0;
     const double us = std::strtod(tail.c_str(), &end);
-    if (end != tail.c_str() && *end == '\0' && us > 0) {
-      cfg.interval = static_cast<des::Duration>(us * 1e3);
-      if (cfg.interval <= 0) cfg.interval = 1;
-      spec.resize(comma);
+    const std::optional<des::Duration> ns =
+        des::checked_duration(us, des::kMicrosecond);
+    if (end == tail.c_str() || *end != '\0' || errno == ERANGE ||
+        !(us > 0) || !ns) {
+      throw std::invalid_argument(
+          "AMTLCE_TIMELINE wants path[,interval_us] with a positive "
+          "interval_us, got \"" + spec + "\"");
     }
+    cfg.interval = std::max<des::Duration>(*ns, 1);
+    spec.resize(comma);
   }
   cfg.path = std::move(spec);
   return cfg;

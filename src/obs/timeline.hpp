@@ -62,7 +62,10 @@ struct TimelineConfig {
   bool enabled() const { return interval > 0; }
 
   /// Parses AMTLCE_TIMELINE=path[,interval_us].  Unset/empty => a config
-  /// with an empty path and interval 0 (enabled() == false).
+  /// with an empty path and interval 0 (enabled() == false).  A suffix
+  /// after the last comma without a '/' is the interval; one that is not
+  /// a positive number fitting in simulated time throws
+  /// std::invalid_argument.
   static TimelineConfig from_env();
 };
 

@@ -251,6 +251,37 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<2>(tp.param) == BackendKind::Mpi ? "_Mpi" : "_Lci");
     });
 
+// Worker threads are built on first use, so a node builds as many as it
+// ever holds tasks at once.  On one node a task's successors are
+// dispatched while its worker is still charged for the body, so a chain
+// holds 2 tasks at its peak and a broadcast of fanout F holds F + 1, up
+// to the worker count.  Busy time and the charged-busy horizon are the
+// values all workers built up front gave.
+TEST(RtWorkers, RunBuildsOnlyItsPeakNumberOfWorkers) {
+  struct Case {
+    int fanout;  ///< 0 = a 12-task chain
+    int workers_started;
+    des::Duration busy;
+    des::Time free_at;
+  };
+  for (const Case c : {Case{0, 2, 120000, 61000}, Case{5, 6, 57000, 10500},
+                       Case{20, 8, 199500, 29500}}) {
+    RtWorld w(1, BackendKind::Mpi);
+    ChainGraph chain(12, 1);
+    BroadcastGraph broadcast(c.fanout, 1);
+    amt::TaskGraphDef& graph =
+        c.fanout == 0 ? static_cast<amt::TaskGraphDef&>(chain) : broadcast;
+    RuntimeConfig cfg;
+    cfg.workers = 8;
+    Runtime rt(w.eng, w.fab, w.comm, graph, cfg);
+    rt.run();
+    const amt::NodeRuntime& node = rt.node(0);
+    EXPECT_EQ(node.workers_started(), c.workers_started) << c.fanout;
+    EXPECT_EQ(node.worker_busy_time(), c.busy) << c.fanout;
+    EXPECT_EQ(node.threads_free_at(), c.free_at) << c.fanout;
+  }
+}
+
 TEST(RtPriorities, HigherPriorityTasksRunFirstOnSingleWorker) {
   // A broadcast fanout on one node with one worker: consumer execution
   // order must follow priority.  Build a custom graph inline.

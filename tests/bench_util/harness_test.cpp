@@ -240,6 +240,19 @@ TEST(FaultEnv, RejectsOutOfRangeAndMalformedValues) {
       expect_rejected(var, bad, apply);
     }
   }
+  // Times must fit in des::Time once scaled to nanoseconds (a plain cast
+  // of these products is undefined behaviour), and so must a window's end.
+  for (const char* var : {"AMTLCE_FAULT_SPIKE_US", "AMTLCE_FAULT_JITTER_US"}) {
+    for (const char* bad : {"1e300", "-1e300"}) {
+      expect_rejected(var, bad, apply);
+    }
+  }
+  for (const char* var : {"AMTLCE_FAULT_BROWNOUT", "AMTLCE_FAULT_STALL"}) {
+    for (const char* bad : {"3:1e300:1", "3:-1e300:1", "3:1:1e300",
+                            "3:1:-1e300", "3:9e12:9e12"}) {
+      expect_rejected(var, bad, apply);
+    }
+  }
 }
 
 TEST(FaultEnv, ReliableSwitchUnderstandsOffSpellings) {

@@ -24,6 +24,7 @@ namespace {
 
 using ce::BackendKind;
 using ce::CeConfig;
+using ce::CeStats;
 using ce::CommEngine;
 using ce::CommWorld;
 using ce::MemReg;
@@ -455,6 +456,91 @@ TEST(CeMpiBackend, CompactionKeepsCallbackOrder) {
   settle();
   world.engine(0).progress();
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 3}));
+}
+
+// The global array and the transfer slots under every path at once: a
+// cap of 2, puts made from inside l_cb and r_cb callbacks (entries
+// appended mid-pass), deferred sends and dynamically allocated receives,
+// and peer_failed() while a send to the failed peer is in the array, more
+// are deferred and its receives wait for array space.  Node 2 never
+// progresses, so nothing it was sent completes.  The callback order is
+// pinned (it is the order of the request-array design with 224-byte
+// entries), and at quiescence the survivors are idle with no transfer
+// slot left live.
+TEST(CeMpiBackend, TransferSlotsDrainAfterReentrantPutsAndPeerFailure) {
+  des::Engine eng;
+  net::Fabric fab(eng, 3);
+  CeConfig cfg;
+  cfg.max_concurrent_transfers = 2;
+  CommWorld world(fab, BackendKind::Mpi, cfg);
+  std::vector<int> order;
+  const MemReg lreg{0, nullptr, 1 << 20};
+  const auto put = [&](int from, int to, int& id,
+                            ce::OnesidedCallback l_cb) {
+    const MemReg rreg{to, nullptr, 1 << 20};
+    world.engine(from).put(lreg, 0, rreg, 0, 64 * 1024, to, std::move(l_cb),
+                           &id, kPutDone, &id, sizeof id);
+  };
+  int reentrant_send = 10, reentrant_back = 20;
+  // Origin completions on node 0 log the put id; put 0's starts put 10.
+  const ce::OnesidedCallback l_cb =
+      [&](CommEngine&, const MemReg&, std::ptrdiff_t, const MemReg&,
+          std::ptrdiff_t, std::size_t, int, void* cb_data) {
+        const int id = *static_cast<int*>(cb_data);
+        order.push_back(id);
+        if (id == 0) put(0, 1, reentrant_send, nullptr);
+      };
+  // Remote completions log 100 + id on node 1 (whose put-2 callback puts
+  // back to node 0) and 200 + id on node 0.
+  world.engine(1).tag_reg(
+      kPutDone,
+      [&](CommEngine&, Tag, const void* msg, std::size_t, int, void*) {
+        int id = 0;
+        std::memcpy(&id, msg, sizeof id);
+        order.push_back(100 + id);
+        if (id == 2) put(1, 0, reentrant_back, nullptr);
+      },
+      nullptr, 64);
+  world.engine(0).tag_reg(
+      kPutDone,
+      [&](CommEngine&, Tag, const void* msg, std::size_t, int, void*) {
+        int id = 0;
+        std::memcpy(&id, msg, sizeof id);
+        order.push_back(200 + id);
+      },
+      nullptr, 64);
+  world.engine(2).tag_reg(kPutDone, [](auto&&...) {}, nullptr, 64);
+
+  int from_dead[] = {30, 31, 32};
+  for (int& id : from_dead) put(2, 0, id, nullptr);
+  int ids[] = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (int& id : ids) put(0, id % 2 == 0 ? 1 : 2, id, l_cb);
+  eng.run();
+  world.engine(0).progress();  // node 2's receives wait for array space
+  world.engine(0).peer_failed(2);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7}));
+
+  // Settle the fabric between passes, so that one pass can complete
+  // several transfers and run their callbacks in array order.
+  for (;;) {
+    eng.run();
+    const int worked = world.engine(0).progress() + world.engine(1).progress();
+    if (worked == 0 && !eng.step()) break;
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 0, 2, 100, 102, 4, 6, 104,
+                                     106, 220, 110}));
+  const CeStats& s0 = world.engine(0).stats();
+  EXPECT_GT(s0.puts_deferred, 0u);
+  EXPECT_EQ(s0.recvs_dynamic, 4u);
+  EXPECT_EQ(s0.peer_failed_sends, 4u);
+  EXPECT_EQ(s0.peer_failed_recvs, 3u);
+  EXPECT_GT(world.engine(1).stats().recvs_dynamic, 0u);
+  for (int n = 0; n < 2; ++n) {
+    EXPECT_TRUE(world.engine(n).idle()) << n;
+    EXPECT_EQ(dynamic_cast<ce::MpiBackend&>(world.engine(n)).live_transfers(),
+              0u)
+        << n;
+  }
 }
 
 // --- LCI-backend-specific mechanisms ---------------------------------------

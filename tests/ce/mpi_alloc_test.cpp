@@ -142,17 +142,17 @@ std::uint64_t fingerprint_run_allocs(ce::BackendKind backend,
   return allocs;
 }
 
-// The bounds are the counts this code makes (1.56 and 1.68 per fabric
+// The bounds are the counts this code makes (1.22 and 1.30 per fabric
 // message, mostly set-up) when the test runs alone, as ctest runs it, so
 // any added allocation fails.  EXPERIMENTS.md records the counts of the
 // earlier designs.
 TEST(MpiAlloc, FingerprintRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 4'178;
+  constexpr std::uint64_t kMaxAllocs = 3'250;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Mpi, 2671), kMaxAllocs);
 }
 
 TEST(LciAlloc, FingerprintRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 4'488;
+  constexpr std::uint64_t kMaxAllocs = 3'474;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 2674), kMaxAllocs);
 }
 
@@ -162,13 +162,13 @@ TEST(LciAlloc, FingerprintRunAllocationsStayAtBound) {
 // The reliability sublayer's receive window takes no set node for an
 // in-order frame; one per frame would add about 2,700.
 TEST(MpiAlloc, FaultTolerantRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 5'834;
+  constexpr std::uint64_t kMaxAllocs = 4'906;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Mpi, 32742, true),
             kMaxAllocs);
 }
 
 TEST(LciAlloc, FaultTolerantRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 5'733;
+  constexpr std::uint64_t kMaxAllocs = 4'804;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 34042, true),
             kMaxAllocs);
 }

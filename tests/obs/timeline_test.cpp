@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -231,9 +232,35 @@ TEST(TimelineConfig, FromEnvParsesPathAndInterval) {
   EXPECT_EQ(cfg.path, "/tmp/plain.json");
   EXPECT_EQ(cfg.interval, TimelineConfig::kDefaultInterval);
 
+  // A comma inside a directory name is part of the path.
+  ::setenv("AMTLCE_TIMELINE", "/tmp/a,b/t.json", 1);
+  cfg = TimelineConfig::from_env();
+  EXPECT_EQ(cfg.path, "/tmp/a,b/t.json");
+  EXPECT_EQ(cfg.interval, TimelineConfig::kDefaultInterval);
+
   ::unsetenv("AMTLCE_TIMELINE");
   cfg = TimelineConfig::from_env();
   EXPECT_FALSE(cfg.enabled());
+}
+
+// A suffix after the last comma is the interval and must parse whole as
+// a positive number of microseconds that fits in simulated time; it is
+// never folded into the file name.
+TEST(TimelineConfig, FromEnvRejectsBadIntervals) {
+  for (const char* bad : {"/tmp/t.json,abc", "/tmp/t.json,-5",
+                          "/tmp/t.json,0", "/tmp/t.json,1e300"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("AMTLCE_TIMELINE", bad, 1);
+    try {
+      (void)TimelineConfig::from_env();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("AMTLCE_TIMELINE"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("AMTLCE_TIMELINE");
 }
 
 // --- FlightRecorder --------------------------------------------------------
