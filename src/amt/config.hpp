@@ -256,6 +256,8 @@ struct NodeStats {
   std::uint64_t stale_activations = 0;     ///< duplicate/stale records dropped
   std::uint64_t fetches_abandoned = 0;     ///< pending fetches on a dead peer
   std::uint64_t reannounces = 0;           ///< flows re-served from the cache
+  std::uint64_t local_reannounces = 0;     ///< ... to consumers on the holder
+  std::uint64_t cache_serves = 0;          ///< GET DATAs served from the cache
   LatencyStats latency;
   /// Full lifecycle-stage decomposition (tentpole of the tracing layer).
   StageLats stages;

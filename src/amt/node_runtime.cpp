@@ -340,10 +340,11 @@ void NodeRuntime::publish_remote(
   if (ft_ != nullptr) {
     // Keep every published flow re-servable: GET DATA after retirement
     // and recovery re-announces both read this cache.
-    ProducedData& pd = produced_cache_[flow];
-    pd.copy = copy;
-    pd.path = path;
-    pd.priority = priority;
+    ProducedRecord& rec = produced_[produced_.acquire()];
+    rec.flow = flow;
+    rec.copy = *copy;
+    rec.path = path;
+    rec.priority = priority;
   }
 
   const int rest = n - children;
@@ -605,12 +606,13 @@ void NodeRuntime::on_getdata(const void* msg, std::size_t size, int src) {
     // serve it from the produced-data cache, outside the expected-gets
     // bookkeeping.  A miss here means the tile is gone everywhere the
     // requester could reach — fail closed, never abort.
-    const auto cit = produced_cache_.find(g.flow);
-    if (cit == produced_cache_.end()) {
+    const ProducedRecord* rec = find_produced(g.flow);
+    if (rec == nullptr) {
       ft_->fail(RunStatus::ErrTileLost);
       return;
     }
-    serving = cit->second.copy.get();
+    serving = &rec->copy;
+    ++stats_.cache_serves;
   } else {
     assert(false && "GET DATA for unknown flow");
     return;
@@ -780,21 +782,22 @@ void NodeRuntime::inject_source(const TaskKey& key) {
 
 bool NodeRuntime::reannounce(const FlowKey& flow, int dst) {
   if (ft_ == nullptr || dead_) return false;
-  const auto cit = produced_cache_.find(flow);
-  if (cit == produced_cache_.end()) return false;
-  const ProducedData& pd = cit->second;
+  const ProducedRecord* pd = find_produced(flow);
+  if (pd == nullptr) return false;
   ++stats_.reannounces;
   if (dst == rank_) {
+    ++stats_.local_reannounces;
     // Local consumers: hand the cached copy straight to every
     // still-unfilled input (deliver_local drops filled/Done ones anyway).
     deps_scratch_.clear();
     def_.successors(flow.producer, flow.flow, deps_scratch_);
     const des::Time now = charged_now();
+    const DataCopyPtr copy = std::make_shared<DataCopy>(pd->copy);
     for (const Dep& dep : deps_scratch_) {
       if (owner_rank(dep.task) != rank_) continue;
       if (ft_->lineage.is_done(dep.task)) continue;
       if (!input_unfilled(dep.task, dep.input)) continue;
-      deliver_local(dep, pd.copy, pd.path, /*remote=*/true, now);
+      deliver_local(dep, copy, pd->path, /*remote=*/true, now);
     }
     return true;
   }
@@ -803,16 +806,29 @@ bool NodeRuntime::reannounce(const FlowKey& flow, int dst) {
   // measured from the re-announce, not the lost original.
   wire::ActivationRecord rec;
   rec.flow = flow;
-  rec.size = pd.copy->size;
+  rec.size = pd->copy.size;
   rec.src_rank = rank_;
-  rec.priority = pd.priority;
+  rec.priority = pd->priority;
   rec.root_ts = eng_.now();
   rec.send_ts = rec.root_ts;
-  rec.real = pd.copy->bytes != nullptr ? 1 : 0;
+  rec.real = pd->copy.bytes != nullptr ? 1 : 0;
   rec.trace = new_ctx(flow);
-  rec.path = pd.path;
+  rec.path = pd->path;
   emit_activation(dst, std::move(rec));
   return true;
+}
+
+const NodeRuntime::ProducedRecord* NodeRuntime::find_produced(
+    const FlowKey& flow) {
+  // Appending overwrites an earlier record's index entry: the newest
+  // publication of a flow is the one served.
+  for (; produced_indexed_ < produced_.size(); ++produced_indexed_) {
+    const FlowKey& f = produced_[produced_indexed_].flow;
+    produced_index_.erase(f);
+    produced_index_.insert(f, produced_indexed_);
+  }
+  const std::uint32_t slot = produced_index_.find(flow);
+  return slot == produced_index_.kNone ? nullptr : &produced_[slot];
 }
 
 bool NodeRuntime::input_unfilled(const TaskKey& task, int input) const {

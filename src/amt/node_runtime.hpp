@@ -267,14 +267,25 @@ class NodeRuntime {
   // --- fault tolerance ---------------------------------------------------
   FaultState* ft_ = nullptr;  ///< null = tolerance off (exact legacy paths)
   bool dead_ = false;         ///< this node fail-stopped
-  /// Every flow this node has published or produced, kept so lost data
-  /// can be re-served (GET DATA after retirement, recovery re-announce).
-  struct ProducedData {
-    DataCopyPtr copy;
+  /// Every flow this node has published, kept so lost data can be
+  /// re-served (GET DATA after retirement, recovery re-announce).  An
+  /// append-only log of fixed-size records in slab chunks: publishing
+  /// adds no node, no hash entry and no DataCopy reference (the copy is
+  /// held by value, so a Model-mode record owns nothing on the heap).
+  /// Both readers run only during recovery, so the index to a flow's
+  /// newest record is built at the first lookup.
+  struct ProducedRecord {
+    FlowKey flow;
+    DataCopy copy;
     PathSums path;
     double priority = 0.0;
   };
-  std::unordered_map<FlowKey, ProducedData, FlowKeyHash> produced_cache_;
+  /// The newest record of `flow`, or null when this node never published
+  /// it.  Indexes the records appended since the previous lookup first.
+  const ProducedRecord* find_produced(const FlowKey& flow);
+  des::Slab<ProducedRecord> produced_;  ///< slot n = n-th publication
+  FlatIndex<FlowKey, FlowKeyHash> produced_index_;
+  std::uint32_t produced_indexed_ = 0;  ///< records produced_index_ covers
 };
 
 }  // namespace amt

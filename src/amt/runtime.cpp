@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_set>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/timeline.hpp"
@@ -122,14 +121,24 @@ des::Duration Runtime::run_tolerant(des::Time start) {
 
 void Runtime::build_graph_index() {
   graph_indexed_ = true;
-  std::unordered_set<TaskKey, TaskKeyHash> seen;
+  const std::uint64_t total = def_.total_tasks();
+  // The first walk records the visit order and counts each task's input
+  // edges; the second replays the visits in that order and files every
+  // edge under its consumer, so a task's producers keep the order the
+  // walk met them in (recovery's pass 2 re-announces in that order).
+  std::vector<char> seen(total, 0);
+  producer_begin_.assign(total + 1, 0);
   std::vector<TaskKey> stack;
   std::vector<TaskKey> init;
   for (int r = 0; r < num_nodes(); ++r) {
     init.clear();
     def_.initial_tasks(r, init);
     for (const TaskKey& t : init) {
-      if (seen.insert(t).second) stack.push_back(t);
+      char& s = seen[def_.task_id(t)];
+      if (s == 0) {
+        s = 1;
+        stack.push_back(t);
+      }
     }
   }
   std::vector<Dep> deps;
@@ -141,15 +150,33 @@ void Runtime::build_graph_index() {
     for (int f = 0; f < nout; ++f) {
       deps.clear();
       def_.successors(t, f, deps);
-      const FlowKey flow{t, f};
       for (const Dep& d : deps) {
-        producers_[d.task].emplace_back(d.input, flow);
-        if (seen.insert(d.task).second) stack.push_back(d.task);
+        const std::uint64_t id = def_.task_id(d.task);
+        ++producer_begin_[id + 1];
+        if (seen[id] == 0) {
+          seen[id] = 1;
+          stack.push_back(d.task);
+        }
       }
     }
   }
-  assert(all_tasks_.size() == def_.total_tasks() &&
-         "graph walk did not reach every task");
+  assert(all_tasks_.size() == total && "graph walk did not reach every task");
+  for (std::uint64_t i = 0; i < total; ++i) {
+    producer_begin_[i + 1] += producer_begin_[i];
+  }
+  producers_.resize(producer_begin_[total]);
+  std::vector<std::uint32_t> next(producer_begin_.begin(),
+                                  producer_begin_.end() - 1);
+  for (const TaskKey& t : all_tasks_) {
+    const int nout = def_.num_outputs(t);
+    for (int f = 0; f < nout; ++f) {
+      deps.clear();
+      def_.successors(t, f, deps);
+      for (const Dep& d : deps) {
+        producers_[next[def_.task_id(d.task)]++] = {d.input, FlowKey{t, f}};
+      }
+    }
+  }
 }
 
 void Runtime::on_peer_dead(int dead_rank) {
@@ -224,9 +251,12 @@ void Runtime::on_peer_dead(int dead_rank) {
       home.inject_source(t);
       continue;
     }
-    const auto pit = producers_.find(t);
-    assert(pit != producers_.end() && "task with inputs but no producers");
-    for (const auto& [input, flow] : pit->second) {
+    const std::uint64_t id = def_.task_id(t);
+    assert(producer_begin_[id] < producer_begin_[id + 1] &&
+           "task with inputs but no producers");
+    for (std::uint32_t e = producer_begin_[id]; e < producer_begin_[id + 1];
+         ++e) {
+      const auto& [input, flow] = producers_[e];
       if (!home.input_unfilled(t, input)) continue;
       const TaskKey& p = flow.producer;
       if (!lin.is_done(p)) continue;  // will deliver on (re-)completion

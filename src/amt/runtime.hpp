@@ -13,7 +13,6 @@
 
 #include <cassert>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,10 +76,10 @@ class Runtime {
   des::Duration total_worker_busy() const;
 
  private:
-  /// Lazily enumerates the whole graph (BFS from every rank's source
-  /// tasks) into all_tasks_ and the input -> producing-flow map.  Only
-  /// ever built on the first confirmed death — fault-free runs never pay
-  /// for it.
+  /// Lazily enumerates the whole graph (depth-first from every rank's
+  /// source tasks) into all_tasks_ and the producer arrays.  Only ever
+  /// built on the first confirmed death — fault-free runs never pay for
+  /// it.
   void build_graph_index();
   des::Duration run_tolerant(des::Time start);
 
@@ -97,10 +96,12 @@ class Runtime {
   bool fd_recovery_ = false;  ///< verdicts come from the failure detector
   bool graph_indexed_ = false;
   std::vector<TaskKey> all_tasks_;
-  /// task -> [(input index, producing flow)] for every input edge.
-  std::unordered_map<TaskKey, std::vector<std::pair<int, FlowKey>>,
-                     TaskKeyHash>
-      producers_;
+  /// Every input edge as (input index, producing flow), grouped by the
+  /// consumer's task_id: the edges of task `id` are producers_[e] for e in
+  /// [producer_begin_[id], producer_begin_[id + 1]), in the order the
+  /// graph walk met them.
+  std::vector<std::uint32_t> producer_begin_;
+  std::vector<std::pair<int, FlowKey>> producers_;
 };
 
 }  // namespace amt

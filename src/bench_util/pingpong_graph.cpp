@@ -126,6 +126,24 @@ std::uint64_t PingPongGraph::total_tasks() const {
   return pings + rounds /*sync*/ + rounds * per_iter /*send*/;
 }
 
+std::uint64_t PingPongGraph::task_id(const amt::TaskKey& t) const {
+  const auto W = static_cast<std::uint64_t>(opts_.window());
+  const auto S = static_cast<std::uint64_t>(opts_.streams);
+  const auto pings = static_cast<std::uint64_t>(opts_.iterations) * W * S;
+  const auto rounds = static_cast<std::uint64_t>(opts_.iterations - 1);
+  const auto i = static_cast<std::uint64_t>(t.i);
+  const std::uint64_t cell = (i * W + static_cast<std::uint64_t>(t.j)) * S +
+                             static_cast<std::uint64_t>(t.k);
+  switch (t.cls) {
+    case kSync:
+      return pings + i;
+    case kSend:
+      return pings + rounds + cell;
+    default:
+      return cell;
+  }
+}
+
 double PingPongGraph::total_flops() const {
   return 2.0 * opts_.fma_per_8bytes *
          (static_cast<double>(opts_.fragment_bytes) / 8.0) *

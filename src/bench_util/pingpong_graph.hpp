@@ -50,6 +50,9 @@ class PingPongGraph final : public amt::TaskGraphDef {
                         amt::RunContext& ctx) override;
   void initial_tasks(int rank, std::vector<amt::TaskKey>& out) const override;
   std::uint64_t total_tasks() const override;
+  /// Closed form: PINGs by (iteration, fragment, stream), then SYNCs by
+  /// iteration, then SENDs like PINGs.
+  std::uint64_t task_id(const amt::TaskKey& t) const override;
 
   /// Task-body FLOPs executed over the whole run.
   double total_flops() const;

@@ -1,4 +1,5 @@
 #include "bench_util/harness.hpp"
+#include "bench_util/pingpong_graph.hpp"
 
 #include <gtest/gtest.h>
 
@@ -375,6 +376,61 @@ TEST(CriticalPathLine, UnseenPathPrintsPlaceholder) {
   const amt::CriticalPath cp;
   EXPECT_EQ(bench::critical_path_line(cp),
             "critical path: (no tasks observed)");
+}
+
+// task_id() must map the graph's tasks one-to-one onto
+// [0, total_tasks()), with and without the Sync task.  The tasks come
+// from walking the graph from its sources, not from the id formula.
+TEST(PingPongGraphShape, TaskIdIsABijectionOntoTotalTasks) {
+  struct Shape {
+    int iterations, window, streams, nodes;
+  };
+  for (const bool sync : {true, false}) {
+    for (const Shape sh : {Shape{1, 1, 1, 2}, Shape{2, 3, 1, 2},
+                           Shape{4, 4, 3, 3}, Shape{5, 8, 2, 4}}) {
+      bench::PingPongOptions o;
+      o.fragment_bytes = 1024;
+      o.total_bytes = static_cast<std::size_t>(sh.window) * o.fragment_bytes;
+      o.iterations = sh.iterations;
+      o.streams = sh.streams;
+      o.nodes = sh.nodes;
+      o.sync = sync;
+      const bench::PingPongGraph g(o);
+      SCOPED_TRACE(::testing::Message()
+                   << "sync=" << sync << " iterations=" << sh.iterations
+                   << " window=" << sh.window << " streams=" << sh.streams);
+      const std::uint64_t total = g.total_tasks();
+      std::vector<amt::TaskKey> owner_of(total, amt::TaskKey{-1});
+      std::vector<amt::TaskKey> stack;
+      std::uint64_t seen = 0;
+      const auto visit = [&](const amt::TaskKey& t) {
+        const std::uint64_t id = g.task_id(t);
+        ASSERT_LT(id, total) << "cls=" << t.cls;
+        amt::TaskKey& slot = owner_of[id];
+        if (slot.cls == -1) {
+          slot = t;
+          ++seen;
+          stack.push_back(t);
+        } else {
+          ASSERT_EQ(slot, t) << "id " << id << " is shared";
+        }
+      };
+      std::vector<amt::TaskKey> sources;
+      for (int r = 0; r < sh.nodes; ++r) g.initial_tasks(r, sources);
+      for (const amt::TaskKey& t : sources) visit(t);
+      std::vector<amt::Dep> deps;
+      while (!stack.empty()) {
+        const amt::TaskKey t = stack.back();
+        stack.pop_back();
+        for (int f = 0; f < g.num_outputs(t); ++f) {
+          deps.clear();
+          g.successors(t, f, deps);
+          for (const amt::Dep& d : deps) visit(d.task);
+        }
+      }
+      EXPECT_EQ(seen, total);
+    }
+  }
 }
 
 }  // namespace
