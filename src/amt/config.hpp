@@ -258,6 +258,7 @@ struct NodeStats {
   std::uint64_t reannounces = 0;           ///< flows re-served from the cache
   std::uint64_t local_reannounces = 0;     ///< ... to consumers on the holder
   std::uint64_t cache_serves = 0;          ///< GET DATAs served from the cache
+  std::uint64_t produced_records = 0;      ///< records appended to the cache
   LatencyStats latency;
   /// Full lifecycle-stage decomposition (tentpole of the tracing layer).
   StageLats stages;
