@@ -262,8 +262,12 @@ void Runtime::on_peer_dead(int dead_rank) {
       if (!lin.is_done(p)) continue;  // will deliver on (re-)completion
       const int p_home = lin.home(p);
       if (ft_->alive(p_home)) {
-        if (!nodes_[static_cast<std::size_t>(p_home)]->reannounce(
-                flow, home.rank())) {
+        NodeRuntime& holder = *nodes_[static_cast<std::size_t>(p_home)];
+        // A holder that crashed before the detector confirmed it never
+        // answers: the request is lost.  Its own death verdict runs this
+        // pass again and re-arms the producer then.
+        if (holder.crashed()) continue;
+        if (!holder.reannounce(flow, home.rank())) {
           // Done producer, alive home, no cached copy: the tile is gone.
           ft_->fail(RunStatus::ErrTileLost);
           return;

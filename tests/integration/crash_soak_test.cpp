@@ -93,6 +93,34 @@ TEST_P(CrashBackends, TlrCholeskySurvivesCrashesAndIsDeterministic) {
   }
 }
 
+// Node 6 crashes while node 5's death is still being confirmed.  The
+// first verdict's recovery asks node 6, which the detector still believes
+// alive, to re-announce; the crashed node cannot answer, and node 6's own
+// verdict re-arms what it held.
+TEST_P(CrashBackends, CrashBeforeAnotherVerdictRecovers) {
+  const auto clean = hicma::run_tlr_cholesky(base_config(GetParam()));
+  ASSERT_EQ(clean.run_status, amt::RunStatus::Ok);
+  const auto half = static_cast<des::Duration>(clean.tts_s * 1e9) / 2;
+  for (const int gap_ms : {5, 20, 40, 60}) {
+    SCOPED_TRACE(::testing::Message() << "gap_ms=" << gap_ms);
+    hicma::ExperimentConfig cfg = base_config(GetParam());
+    cfg.fabric.faults.crashes.push_back(net::CrashEvent{5, half, 0});
+    cfg.fabric.faults.crashes.push_back(
+        net::CrashEvent{6, half + gap_ms * des::kMillisecond, 0});
+    const auto a = hicma::run_tlr_cholesky(cfg);
+    EXPECT_EQ(a.run_status, amt::RunStatus::Ok);
+    EXPECT_GT(a.tts_s, clean.tts_s);
+    const auto b = hicma::run_tlr_cholesky(cfg);
+    EXPECT_EQ(a.tts_s, b.tts_s);
+    EXPECT_EQ(a.fabric_messages, b.fabric_messages);
+    EXPECT_EQ(a.fabric_bytes, b.fabric_bytes);
+    EXPECT_EQ(a.tasks, b.tasks);
+    EXPECT_EQ(a.runtime_stats.tasks_reexecuted,
+              b.runtime_stats.tasks_reexecuted);
+    EXPECT_EQ(a.runtime_stats.reannounces, b.runtime_stats.reannounces);
+  }
+}
+
 TEST_P(CrashBackends, RealPayloadFactorizationSurvivesACrash) {
   // Real (numeric) tiles: a mid-run crash loses actual data; recovery
   // must re-produce it and the factorization must still verify.
