@@ -161,16 +161,17 @@ TEST(LciAlloc, FingerprintRunAllocationsStayAtBound) {
 // re-armed task; a node per task would add about 450 allocations here.
 // The reliability sublayer's receive window takes no set node for an
 // in-order frame; one per frame would add about 2,700.  The produced-data
-// cache appends each published flow to slab chunks; the hash node per
-// flow it kept before cost about 300 more.
+// cache appends to slab chunks, and only on the producer's home: the hash
+// node per flow it kept before cost about 300 more, and the forwarders'
+// records another 19.
 TEST(MpiAlloc, FaultTolerantRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 4'604;
+  constexpr std::uint64_t kMaxAllocs = 4'585;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Mpi, 32742, true),
             kMaxAllocs);
 }
 
 TEST(LciAlloc, FaultTolerantRunAllocationsStayAtBound) {
-  constexpr std::uint64_t kMaxAllocs = 4'501;
+  constexpr std::uint64_t kMaxAllocs = 4'482;
   EXPECT_LE(fingerprint_run_allocs(ce::BackendKind::Lci, 34042, true),
             kMaxAllocs);
 }
