@@ -416,24 +416,43 @@ int main(int argc, char** argv) {
   // the queue legs under ~3 s total.
   const std::size_t ops = 1'000'000;
   const std::size_t fab_msgs = smoke ? 20'000 : 200'000;
-  // Best-of-N over INTERLEAVED hybrid/heapslab reps: wall-clock
-  // on a shared machine is noisy, the fastest rep is the closest
-  // estimate of the code's intrinsic cost, and alternating the queues
-  // rep-by-rep keeps a load spike from taxing only one side of a ratio.
+  // N INTERLEAVED hybrid/heapslab reps: wall-clock on a shared machine is
+  // noisy, the fastest rep is the closest estimate of the code's
+  // intrinsic cost, and alternating the queues rep-by-rep keeps a load
+  // spike from taxing only one side of a pair.
   const int reps = smoke ? 9 : 15;
 
   std::printf("perf_core (%s mode)\n", smoke ? "smoke" : "full");
 
+  // The speedup is the ratio of the two bests in full mode (the committed
+  // baseline).  Smoke mode, which the CI guard reads on a shared box,
+  // takes the median of the per-pair ratios instead: one lucky hybrid rep
+  // or one load spike on a heap-slab rep moves a ratio of bests, while
+  // the median of the pairs needs most of them to move.
   struct TwoWay {
     QueueBenchResult hybrid, heapslab;
+    double speedup = 0;
   };
-  const auto best_of2 = [reps](auto&& measure_a, auto&& measure_b) {
-    TwoWay best{measure_a(), measure_b()};
-    for (int r = 1; r < reps; ++r) {
+  const auto best_of2 = [reps, smoke](auto&& measure_a, auto&& measure_b) {
+    TwoWay best;
+    std::vector<double> pair_ratios;
+    for (int r = 0; r < reps; ++r) {
       const QueueBenchResult a = measure_a();
       const QueueBenchResult b = measure_b();
-      if (a.events_per_sec > best.hybrid.events_per_sec) best.hybrid = a;
-      if (b.events_per_sec > best.heapslab.events_per_sec) best.heapslab = b;
+      if (r == 0 || a.events_per_sec > best.hybrid.events_per_sec) {
+        best.hybrid = a;
+      }
+      if (r == 0 || b.events_per_sec > best.heapslab.events_per_sec) {
+        best.heapslab = b;
+      }
+      pair_ratios.push_back(a.events_per_sec / b.events_per_sec);
+    }
+    if (smoke) {
+      const auto mid = pair_ratios.begin() + pair_ratios.size() / 2;
+      std::nth_element(pair_ratios.begin(), mid, pair_ratios.end());
+      best.speedup = *mid;
+    } else {
+      best.speedup = best.hybrid.events_per_sec / best.heapslab.events_per_sec;
     }
     return best;
   };
@@ -445,8 +464,7 @@ int main(int argc, char** argv) {
       "schedule_pop   : hybrid %.3g ev/s (%.3g allocs/ev), heapslab %.3g "
       "ev/s, %.2fx vs heapslab\n",
       sp.hybrid.events_per_sec, sp.hybrid.allocs_per_event,
-      sp.heapslab.events_per_sec,
-      sp.hybrid.events_per_sec / sp.heapslab.events_per_sec);
+      sp.heapslab.events_per_sec, sp.speedup);
 
   const TwoWay ch = best_of2(
       [&] { return bench_cancel_heavy<des::EventQueue>(ring, ops); },
@@ -455,8 +473,7 @@ int main(int argc, char** argv) {
       "cancel_heavy   : hybrid %.3g op/s (%.3g allocs/op), heapslab %.3g "
       "op/s, %.2fx vs heapslab\n",
       ch.hybrid.events_per_sec, ch.hybrid.allocs_per_event,
-      ch.heapslab.events_per_sec,
-      ch.hybrid.events_per_sec / ch.heapslab.events_per_sec);
+      ch.heapslab.events_per_sec, ch.speedup);
 
   const auto fabr = bench_fabric_throughput(fab_msgs);
   std::printf("fabric         : %.3g msg/s wall (%.3g allocs/msg)\n",
@@ -525,8 +542,7 @@ int main(int argc, char** argv) {
   json_field(f, "ring", static_cast<double>(ring));
   json_field(f, "events_per_sec", sp.hybrid.events_per_sec);
   json_field(f, "heapslab_events_per_sec", sp.heapslab.events_per_sec);
-  json_field(f, "speedup_vs_heapslab",
-             sp.hybrid.events_per_sec / sp.heapslab.events_per_sec);
+  json_field(f, "speedup_vs_heapslab", sp.speedup);
   json_field(f, "steady_state_allocs_per_event", sp.hybrid.allocs_per_event);
   json_field(f, "heapslab_allocs_per_event", sp.heapslab.allocs_per_event,
              true);
@@ -535,8 +551,7 @@ int main(int argc, char** argv) {
   json_field(f, "ops", static_cast<double>(2 * ops));
   json_field(f, "events_per_sec", ch.hybrid.events_per_sec);
   json_field(f, "heapslab_events_per_sec", ch.heapslab.events_per_sec);
-  json_field(f, "speedup_vs_heapslab",
-             ch.hybrid.events_per_sec / ch.heapslab.events_per_sec);
+  json_field(f, "speedup_vs_heapslab", ch.speedup);
   json_field(f, "steady_state_allocs_per_event", ch.hybrid.allocs_per_event);
   json_field(f, "heapslab_allocs_per_event", ch.heapslab.allocs_per_event,
              true);

@@ -4,9 +4,10 @@
 # Absolute smoke-mode timing numbers are not checked against thresholds —
 # wall-clock on a loaded CI machine is noise — but the hybrid/heapslab
 # SPEEDUP RATIO is machine-portable (numerator and denominator run
-# interleaved under the same load), so it is guarded against the
-# committed BENCH_core.json: a ratio more than 10% below the committed
-# full-mode ratio fails the test.  Invoked as:
+# interleaved under the same load; smoke mode reports the median over 9
+# such pairs), so it is guarded against the committed BENCH_core.json: a
+# ratio more than 10% below the committed full-mode ratio fails the
+# test.  Invoked as:
 #   cmake -DPERF_CORE=<binary> -DOUT_JSON=<path> \
 #         [-DBASELINE_JSON=<committed BENCH_core.json>] -P perf_smoke.cmake
 cmake_minimum_required(VERSION 3.19)  # string(JSON)

@@ -43,11 +43,15 @@ class LineageTracker {
   explicit LineageTracker(const TaskGraphDef& def)
       : def_(def), total_(def.total_tasks()) {}
 
-  TaskPhase phase(const TaskKey& t) const {
-    const std::uint64_t i = id(t);
+  TaskPhase phase(const TaskKey& t) const { return phase_by_id(id(t)); }
+  bool is_done(const TaskKey& t) const { return phase(t) == TaskPhase::Done; }
+  /// The same, for a caller that already holds the task's dense id.
+  TaskPhase phase_by_id(std::uint64_t i) const {
     return i < phase_.size() ? phase_[i] : TaskPhase::Pending;
   }
-  bool is_done(const TaskKey& t) const { return phase(t) == TaskPhase::Done; }
+  bool is_done_by_id(std::uint64_t i) const {
+    return phase_by_id(i) == TaskPhase::Done;
+  }
 
   int epoch(const TaskKey& t) const {
     const Rearmed* r = rearmed(t);

@@ -27,6 +27,8 @@ class FlatIndex {
   static constexpr std::uint32_t kNone = 0xFFFF'FFFFu;
 
   std::size_t size() const { return size_; }
+  /// Bytes per table entry: the key and a 32-bit slot.
+  static constexpr std::size_t entry_bytes() { return sizeof(Entry); }
 
   /// The slot stored under `key`, or kNone.
   std::uint32_t find(const K& key) const {
@@ -103,6 +105,16 @@ class FlatIndex {
 
   std::vector<Entry> table_;  ///< power-of-two size, at most half full
   std::size_t size_ = 0;
+};
+
+/// Hash of a dense task id for FlatIndex: a multiply folds the high
+/// product bits into the low ones the index masks with, so ids that
+/// differ by a stride of the block-cyclic distribution spread out.
+struct DenseIdHash {
+  std::size_t operator()(std::uint32_t id) const {
+    const std::uint64_t h = id * 0x9E37'79B9'7F4A'7C15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
 };
 
 template <class T>

@@ -72,6 +72,11 @@ class Runtime {
   /// over every node.
   NodeStats aggregate_stats() const;
   std::uint64_t total_tasks_executed() const;
+  /// Distinct tasks completed: re-executions after a crash do not add,
+  /// so an Ok run reports the graph size.
+  std::uint64_t tasks_done() const {
+    return ft_ != nullptr ? ft_->lineage.done_count() : total_tasks_executed();
+  }
   /// Aggregate worker busy time across all nodes.
   des::Duration total_worker_busy() const;
 

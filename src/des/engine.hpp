@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cassert>
-#include <functional>
 #include <utility>
 
 #include "des/event_queue.hpp"
@@ -158,8 +157,10 @@ class Engine {
   }
 
   /// Runs until `done` returns true (checked after each event) or the queue
-  /// drains.  Returns whether `done` was satisfied.
-  bool run_while_pending(const std::function<bool()>& done) {
+  /// drains.  Returns whether `done` was satisfied.  `done` is a template
+  /// parameter: it runs once per event, so it inlines into the loop.
+  template <typename Done>
+  bool run_while_pending(Done&& done) {
     while (!done()) {
       if (!step()) return false;
     }

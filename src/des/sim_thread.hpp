@@ -1,7 +1,8 @@
 // SimThread: a serialized executor modeling one pinned OS thread.
 //
-// PaRSEC's communication thread, the LCI backend's progress thread, and
-// worker threads are all SimThreads.  Work items run one at a time; each
+// PaRSEC's communication thread and the LCI backend's progress thread are
+// SimThreads; amt's worker threads are rows of a per-node table (see
+// ChargeTarget below).  Work items run one at a time; each
 // occupies the thread for a modeled duration, so a slow active-message
 // callback delays everything queued behind it — the §4.3 bottleneck the
 // paper describes emerges directly from this serialization.
@@ -25,12 +26,78 @@
 
 namespace des {
 
-class SimThread {
+/// What charge_current() charges: the simulated thread whose work item is
+/// executing.  A SimThread is one; amt's worker rows are the other kind,
+/// so a worker needs no SimThread of its own.  Only one work item
+/// executes at a time in the whole simulation, so the running item's
+/// charge is held once, next to current(), and a target carries only the
+/// namer of its trace track.  The charge path makes no virtual call.
+class ChargeTarget {
+ public:
+  /// Names the trace track of each target that points at it.  Asked only
+  /// while tracing.
+  class Namer {
+   public:
+    virtual std::string track_name(const ChargeTarget& target) const = 0;
+
+   protected:
+    ~Namer() = default;
+  };
+
+  explicit ChargeTarget(const Namer& namer) : namer_(&namer) {}
+  ChargeTarget(const ChargeTarget&) = delete;
+  ChargeTarget& operator=(const ChargeTarget&) = delete;
+
+  /// The target whose work item is executing, or nullptr when the engine
+  /// is running a non-thread event (NIC delivery, test driver).  Libraries
+  /// use this to charge per-call CPU costs to their caller, and mmpi its
+  /// identity to tell one calling thread from another.
+  static ChargeTarget* current() { return current_; }
+
+  /// Extra time charged so far by the executing item (0 outside any
+  /// item).  Tracing uses the deltas to lay out sub-spans (callbacks)
+  /// within one work item.
+  static Duration pending_charge() { return charge_; }
+
+  std::string track_name() const { return namer_->track_name(*this); }
+
+  /// Runs `fn` as a work item of this target and returns the time it
+  /// charged.
+  template <class F>
+  Duration run_charged(F&& fn) {
+    ChargeTarget* const prev = current_;
+    const Duration prev_charge = charge_;
+    current_ = this;
+    charge_ = 0;
+    fn();
+    const Duration charged = charge_;
+    current_ = prev;
+    charge_ = prev_charge;
+    return charged;
+  }
+
+ private:
+  friend void charge_current(Duration cost);
+
+  const Namer* namer_;
+
+  inline static ChargeTarget* current_ = nullptr;
+  inline static Duration charge_ = 0;
+};
+
+/// Charges `cost` to the currently executing thread, if any.  Calls made
+/// from outside any simulated thread (tests, drivers) are free — convenient
+/// and harmless since such callers model no CPU.
+inline void charge_current(Duration cost) {
+  assert(cost >= 0);
+  if (ChargeTarget::current_ != nullptr) ChargeTarget::charge_ += cost;
+}
+
+class SimThread : public ChargeTarget {
  public:
   SimThread(Engine& engine, std::string name)
-      : eng_(engine), name_(std::move(name)), created_at_(engine.now()) {}
-  SimThread(const SimThread&) = delete;
-  SimThread& operator=(const SimThread&) = delete;
+      : ChargeTarget(kNamer), eng_(engine), name_(std::move(name)),
+        created_at_(engine.now()) {}
 
   Engine& engine() { return eng_; }
   const std::string& name() const { return name_; }
@@ -57,19 +124,9 @@ class SimThread {
   /// From inside a running item: occupies the thread for `extra` more time
   /// before the next item may start.
   void charge(Duration extra) {
-    assert(in_item_ && "charge() outside of a work item");
-    assert(extra >= 0);
-    extra_charge_ += extra;
+    assert(in_item_ && current() == this && "charge() outside of a work item");
+    charge_current(extra);
   }
-
-  /// Extra time charged so far by the currently running item.  Tracing uses
-  /// the deltas to lay out sub-spans (callbacks) within one work item.
-  Duration pending_charge() const { return extra_charge_; }
-
-  /// The SimThread whose work item is currently executing, or nullptr when
-  /// the engine is running a non-thread event (NIC delivery, test driver).
-  /// Libraries use this to charge per-call CPU costs to their caller.
-  static SimThread* current() { return current_; }
 
   /// True while a work item body is executing (or scheduled to finish later
   /// than now) — i.e. the modeled thread is occupied.
@@ -91,6 +148,13 @@ class SimThread {
   }
 
  private:
+  struct TrackNamer final : ChargeTarget::Namer {
+    std::string track_name(const ChargeTarget& t) const override {
+      return static_cast<const SimThread&>(t).name_;
+    }
+  };
+  inline static const TrackNamer kNamer{};
+
   struct Item {
     Duration cost;
     EventQueue::Callback fn;
@@ -118,16 +182,12 @@ class SimThread {
     Item item = std::move(running_);  // fn may post work and re-pump
     dispatch_pending_ = false;
     in_item_ = true;
-    extra_charge_ = 0;
-    SimThread* const prev = current_;
-    current_ = this;
-    item.fn();
-    current_ = prev;
+    const Duration extra = run_charged(item.fn);
     in_item_ = false;
-    free_at_ = eng_.now() + extra_charge_;
-    busy_total_ += item.cost + extra_charge_;
+    free_at_ = eng_.now() + extra;
+    busy_total_ += item.cost + extra;
     if (TraceSink* sink = eng_.trace_sink()) {
-      const Duration occupied = item.cost + extra_charge_;
+      const Duration occupied = item.cost + extra;
       if (occupied > 0) {
         sink->span(name_, item.label ? item.label : "work", running_start_,
                    occupied);
@@ -144,22 +204,12 @@ class SimThread {
   Time free_at_ = 0;
   Time created_at_ = 0;
   Duration busy_total_ = 0;
-  Duration extra_charge_ = 0;
   bool in_item_ = false;
   bool dispatch_pending_ = false;
-
-  inline static SimThread* current_ = nullptr;
 };
 
-/// Charges `cost` to the currently executing SimThread, if any.  Calls made
-/// from outside any simulated thread (tests, drivers) are free — convenient
-/// and harmless since such callers model no CPU.
-inline void charge_current(Duration cost) {
-  if (SimThread* t = SimThread::current()) t->charge(cost);
-}
-
 /// Emits one end of a causal flow arrow at the current charged-local time
-/// on the current SimThread's track ("events" outside any thread).  Sim
+/// on the current thread's track ("events" outside any thread).  Sim
 /// time does not advance inside a work item, so the timestamp is laid at
 /// now() + charge-so-far — the same layout rule ChargeSpan uses — which
 /// binds the arrow end to the sub-span being traced around it.  No-op when
@@ -168,13 +218,13 @@ inline void emit_flow(Engine& engine, std::string_view name,
                       std::uint64_t id, bool begin) {
   TraceSink* const sink = engine.trace_sink();
   if (sink == nullptr) return;
-  SimThread* const t = SimThread::current();
-  const Time ts = engine.now() + (t ? t->pending_charge() : 0);
-  sink->flow(t ? t->name() : "events", name, ts, id, begin);
+  const ChargeTarget* const t = ChargeTarget::current();
+  const Time ts = engine.now() + ChargeTarget::pending_charge();
+  sink->flow(t ? t->track_name() : "events", name, ts, id, begin);
 }
 
 /// RAII trace span covering the simulated CPU time charged to the current
-/// SimThread while it is alive.  Sim time does not advance inside a work
+/// thread while it is alive.  Sim time does not advance inside a work
 /// item, so the span is laid out at now() + charge-so-far: consecutive
 /// ChargeSpans within one item render sequentially, nested inside the
 /// item's occupancy span.  Construct only when engine.trace_sink() is
@@ -184,22 +234,21 @@ class ChargeSpan {
   ChargeSpan(Engine& engine, std::string name)
       : sink_(engine.trace_sink()), name_(std::move(name)) {
     assert(sink_ && "ChargeSpan requires an installed trace sink");
-    thread_ = SimThread::current();
-    charge0_ = thread_ ? thread_->pending_charge() : 0;
+    thread_ = ChargeTarget::current();
+    charge0_ = ChargeTarget::pending_charge();
     start_ = engine.now() + charge0_;
   }
   ChargeSpan(const ChargeSpan&) = delete;
   ChargeSpan& operator=(const ChargeSpan&) = delete;
   ~ChargeSpan() {
-    const Duration dur =
-        (thread_ ? thread_->pending_charge() : 0) - charge0_;
-    sink_->span(thread_ ? thread_->name() : "events", name_, start_,
+    const Duration dur = ChargeTarget::pending_charge() - charge0_;
+    sink_->span(thread_ ? thread_->track_name() : "events", name_, start_,
                 dur >= 0 ? dur : 0);
   }
 
  private:
   TraceSink* sink_;
-  SimThread* thread_ = nullptr;
+  const ChargeTarget* thread_ = nullptr;
   std::string name_;
   Time start_ = 0;
   Duration charge0_ = 0;

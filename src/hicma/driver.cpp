@@ -84,6 +84,7 @@ ExperimentResult run_tlr_cholesky(const ExperimentConfig& cfg) {
   res.runtime_stats = runtime.aggregate_stats();
   res.latency = res.runtime_stats.latency;
   res.tasks = runtime.total_tasks_executed();
+  res.tasks_done = runtime.tasks_done();
   res.events_fired = eng.events_fired();
   const double core_time = des::to_seconds(makespan) *
                            static_cast<double>(rt.workers) *

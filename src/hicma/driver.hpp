@@ -41,7 +41,8 @@ struct ExperimentResult {
   std::uint64_t fabric_bytes = 0;
   double mean_rank = 0;
   double residual = -1;             ///< real mode: ||LL^T - A|| / ||A||
-  std::uint64_t tasks = 0;
+  std::uint64_t tasks = 0;           ///< task runs, re-executions included
+  std::uint64_t tasks_done = 0;      ///< distinct tasks completed
   std::uint64_t events_fired = 0;   ///< DES events fired over the run
   /// CommWorld::metrics_snapshot() plus the runtime's amt.lat.*
   /// histograms: wire transit, put latencies, queue waits (histograms

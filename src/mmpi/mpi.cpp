@@ -74,7 +74,7 @@ void Rank::release(Request& r) {
 }
 
 void Rank::charge_thread_switch() {
-  des::SimThread* caller = des::SimThread::current();
+  const des::ChargeTarget* caller = des::ChargeTarget::current();
   if (caller == nullptr) return;  // test-driver calls model no CPU
   if (last_caller_ != nullptr && caller != last_caller_) {
     des::charge_current(mpi_.cfg_.thread_switch_cost);
