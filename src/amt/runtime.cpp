@@ -2,11 +2,29 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <unordered_set>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/timeline.hpp"
 
 namespace amt {
+
+namespace {
+
+/// One recovery re-announce: a flow sent to a destination rank.
+struct Announcement {
+  FlowKey flow;
+  int dst = 0;
+  friend bool operator==(const Announcement&, const Announcement&) = default;
+};
+
+struct AnnouncementHash {
+  std::size_t operator()(const Announcement& a) const {
+    return FlowKeyHash{}(a.flow) * 31 + static_cast<std::uint32_t>(a.dst);
+  }
+};
+
+}  // namespace
 
 Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
                  ce::CommWorld& comm, TaskGraphDef& def, RuntimeConfig cfg)
@@ -238,10 +256,16 @@ void Runtime::on_peer_dead(int dead_rank) {
   // Done producer whose cached output an alive holder re-announces, or a
   // Done-on-dead producer whose sub-lineage must re-execute (cascades via
   // the worklist).  The seed sweep below already covers pass 1's rearms.
+  // A flow goes to each other node at most once per pass: the node
+  // handles the ACTIVATE after the pass, so it finds every consumer the
+  // pass homed there.  A hand-over on the holder itself is immediate and
+  // reaches only the consumers homed there so far, so a consumer the
+  // pass re-arms later gets its own.
   work.clear();
   for (const TaskKey& t : all_tasks_) {
     if (lin.phase(t) == TaskPhase::Pending) work.push_back(t);
   }
+  std::unordered_set<Announcement, AnnouncementHash> announced;
   while (!work.empty() && ft_->status == RunStatus::Ok) {
     const TaskKey t = work.back();
     work.pop_back();
@@ -267,6 +291,10 @@ void Runtime::on_peer_dead(int dead_rank) {
         // answers: the request is lost.  Its own death verdict runs this
         // pass again and re-arms the producer then.
         if (holder.crashed()) continue;
+        if (p_home != home.rank() &&
+            !announced.insert({flow, home.rank()}).second) {
+          continue;
+        }
         if (!holder.reannounce(flow, home.rank())) {
           // Done producer, alive home, no cached copy: the tile is gone.
           ft_->fail(RunStatus::ErrTileLost);
