@@ -110,8 +110,8 @@ TEST(ArtifactPin, NoSurvivorsRunWritesPinnedPostmortemBundle) {
   const std::string bundle = slurp(path);
   std::remove(path.c_str());
 
-  EXPECT_EQ(bundle.size(), 27834u);
-  EXPECT_EQ(fnv1a64(bundle), 8048957730965985002ull);
+  EXPECT_EQ(bundle.size(), 27809u);
+  EXPECT_EQ(fnv1a64(bundle), 7811880031426162033ull);
 }
 
 }  // namespace

@@ -206,17 +206,17 @@ TEST(Fingerprint, CrashRecoveryIsBitIdenticalToBaseline) {
   ASSERT_NE(cancelled, nullptr);
   EXPECT_EQ(crashes->value(), 1u);
   EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
-  EXPECT_EQ(res.tts_s, 3.1027536840000001);
-  EXPECT_EQ(res.fabric_messages, 37042u);
+  EXPECT_EQ(res.tts_s, 3.1027538090000002);
+  EXPECT_EQ(res.fabric_messages, 37176u);
   EXPECT_EQ(cancelled->value(), 15u);
   // Re-announced flows restart root_ts at the serving node, so the
   // recovered run's latencies pin the recovery legs as well.
   constexpr LatencyPin kCrashLatency = {
-      536, 1640731.9179104478, 283741.09090909088, 12845056.0,
-      1259595.4645522388,
+      536, 1778920.8376865671, 292677.81818181818, 17039360.0,
+      1332744.1361940298,
       {536, 536, 536, 536, 536, 536, 536, 536, 464},
-      {197309231.0, 6979908.0, 81582374.0, 0.0, 0.0, 124190111.0,
-       469370684.0, 11172000.0, 4724792125.0}};
+      {232218977.0, 6931735.0, 87198936.0, 0.0, 0.0, 135095968.0,
+       492055953.0, 11172000.0, 4736598104.0}};
   expect_latency(res.runtime_stats, kCrashLatency);
 }
 
@@ -322,8 +322,8 @@ TEST(Fingerprint, MpiCrashRecoveryIsBitIdenticalToBaseline) {
   ASSERT_NE(cancelled, nullptr);
   EXPECT_EQ(res.run_status, amt::RunStatus::Ok);
   EXPECT_EQ(res.tts_s, 3.2227821900000002);
-  EXPECT_EQ(res.fabric_messages, 37436u);
-  EXPECT_EQ(res.events_fired, 48434u);
+  EXPECT_EQ(res.fabric_messages, 37697u);
+  EXPECT_EQ(res.events_fired, 48827u);
   EXPECT_EQ(cancelled->value(), 1u);
 }
 

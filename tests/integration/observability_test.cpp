@@ -237,61 +237,61 @@ TEST(MetricsExportIntegration, PinnedCounterMapsUnderChaosAndCrash) {
   } pins[] = {
     {BackendKind::Lci, {
       {"ce.fd.dead", 7},
-      {"ce.fd.heartbeats", 26279},
+      {"ce.fd.heartbeats", 26254},
       {"ce.fd.hints", 2},
       {"ce.fd.suspects", 7},
-      {"ce.rel.acks", 4008},
+      {"ce.rel.acks", 4001},
       {"ce.rel.corrupt", 36},
       {"ce.rel.data", 2913},
-      {"ce.rel.dups", 1100},
+      {"ce.rel.dups", 1093},
       {"ce.rel.nacks", 16},
       {"ce.rel.peer_dead_fails", 2},
-      {"ce.rel.retransmits", 1164},
+      {"ce.rel.retransmits", 1159},
       {"ce.rel.timeouts", 3},
-      {"net.bytes", 1512340266},
-      {"net.delivered_bytes", 1509444644},
-      {"net.delivered_msgs", 34204},
+      {"net.bytes", 1504541796},
+      {"net.delivered_bytes", 1504526057},
+      {"net.delivered_msgs", 34167},
       {"net.fault.brownout_drops", 14},
       {"net.fault.corruptions", 163},
       {"net.fault.crash_cancelled", 1},
       {"net.fault.crash_drops", 154},
       {"net.fault.crashes", 1},
-      {"net.fault.dropped_bytes", 2895622},
+      {"net.fault.dropped_bytes", 15739},
       {"net.fault.drops", 344},
-      {"net.fault.dup_bytes", 1468801},
+      {"net.fault.dup_bytes", 2524058},
       {"net.fault.dups", 168},
-      {"net.fault.spikes", 181},
+      {"net.fault.spikes", 180},
       {"net.fault.stalled_msgs", 1},
-      {"net.msgs", 34548},
+      {"net.msgs", 34511},
     }},
     {BackendKind::Mpi, {
       {"ce.fd.dead", 7},
-      {"ce.fd.heartbeats", 26285},
+      {"ce.fd.heartbeats", 26319},
       {"ce.fd.hints", 2},
       {"ce.fd.suspects", 7},
-      {"ce.rel.acks", 3608},
-      {"ce.rel.corrupt", 40},
-      {"ce.rel.data", 2918},
-      {"ce.rel.dups", 695},
-      {"ce.rel.nacks", 13},
+      {"ce.rel.acks", 3637},
+      {"ce.rel.corrupt", 33},
+      {"ce.rel.data", 2914},
+      {"ce.rel.dups", 728},
+      {"ce.rel.nacks", 11},
       {"ce.rel.peer_dead_fails", 2},
-      {"ce.rel.retransmits", 748},
+      {"ce.rel.retransmits", 792},
       {"ce.rel.timeouts", 3},
-      {"net.bytes", 1512207960},
-      {"net.delivered_bytes", 1509865225},
-      {"net.delivered_msgs", 33396},
+      {"net.bytes", 1449694918},
+      {"net.delivered_bytes", 1444807339},
+      {"net.delivered_msgs", 33496},
       {"net.fault.brownout_drops", 14},
       {"net.fault.corruptions", 163},
       {"net.fault.crash_cancelled", 1},
       {"net.fault.crash_drops", 154},
       {"net.fault.crashes", 1},
-      {"net.fault.dropped_bytes", 2342735},
-      {"net.fault.drops", 338},
-      {"net.fault.dup_bytes", 2044405},
-      {"net.fault.dups", 162},
-      {"net.fault.spikes", 178},
+      {"net.fault.dropped_bytes", 4887579},
+      {"net.fault.drops", 340},
+      {"net.fault.dup_bytes", 700233},
+      {"net.fault.dups", 163},
+      {"net.fault.spikes", 179},
       {"net.fault.stalled_msgs", 1},
-      {"net.msgs", 33734},
+      {"net.msgs", 33836},
     }},
   };
   for (const auto& pin : pins) {

@@ -46,12 +46,12 @@ TEST(ProducedCache, CrashScheduleReadsTheCacheOnEveryPath) {
   EXPECT_EQ(res.fabric_messages, 5179u);
   EXPECT_EQ(s.tasks_executed, 84u);
   EXPECT_EQ(s.tasks_reexecuted, 9u);
-  EXPECT_EQ(s.reannounces, 15u);
+  EXPECT_EQ(s.reannounces, 14u);
   // Both re-announce legs and the retired-flow GET DATA branch ran.
   EXPECT_EQ(s.local_reannounces, 9u);
   EXPECT_EQ(s.cache_serves, 5u);
   EXPECT_EQ(s.dup_inputs_dropped, 2u);
-  EXPECT_EQ(s.stale_activations, 1u);
+  EXPECT_EQ(s.stale_activations, 0u);
   EXPECT_EQ(s.fetches_abandoned, 0u);
 }
 
