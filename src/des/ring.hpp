@@ -5,8 +5,8 @@
 // traffic.  std::deque allocates and frees a chunk whenever its head or
 // tail crosses a chunk boundary, so a steady stream churns the allocator;
 // the ring reuses one buffer and allocates only when it grows.  Growth is
-// lazy and starts at 2 slots: thousands of SimThreads are built per run
-// and most never hold more than one or two items.
+// lazy and starts at 2 slots: most queues never hold more than one or two
+// items.
 //
 // Order-preserving removal from the middle (take, erase_if) shifts the
 // prefix up one place, so the surviving elements keep their FIFO order.

@@ -2,7 +2,7 @@
 //
 // Implements des::TraceSink: every span becomes a `ph:"X"` complete event
 // and every point event a `ph:"i"` instant event in the Trace Event JSON
-// format; tracks (SimThreads, NIC pipes) map to tids with thread_name
+// format; tracks (simulated threads, NIC pipes) map to tids with thread_name
 // metadata so the viewer labels them.  Timestamps are simulated
 // microseconds (ts/dur fields), with displayTimeUnit "ns".
 //
