@@ -55,13 +55,24 @@ Runtime::Runtime(des::Engine& engine, net::Fabric& fabric,
     // fabric restart revives the ce level only; the node stays out of the
     // work pool (graceful degradation).
     fabric.add_crash_handler([this, &comm](net::NodeId n, bool up) {
-      if (up) return;
+      const int rank = static_cast<int>(n);
+      if (up) {
+        // A restart before the detector's verdict revives the ce level, so
+        // the node answers heartbeats again and no verdict ever re-homes
+        // its lost work: recover it now, as ground truth does at crash
+        // time.  After a verdict this is a no-op.
+        if (fd_recovery_ && ft_->node_dead[static_cast<std::size_t>(n)] == 0) {
+          comm.peer_failed(rank);
+          on_peer_dead(rank);
+        }
+        return;
+      }
       nodes_[static_cast<std::size_t>(n)]->mark_crashed();
       if (!fd_recovery_) {
         // Ground-truth recovery: purge the comm level first (the detector
         // path does this via its Dead-verdict subscriber), then re-home.
-        comm.peer_failed(static_cast<int>(n));
-        on_peer_dead(static_cast<int>(n));
+        comm.peer_failed(rank);
+        on_peer_dead(rank);
       }
     });
   }

@@ -56,6 +56,23 @@ hicma::ExperimentConfig crashed_config(BackendKind kind, int k,
   return cfg;
 }
 
+// The run completes every task, and a repeat reproduces it bit for bit.
+void expect_recovers(const hicma::ExperimentConfig& cfg) {
+  const auto a = hicma::run_tlr_cholesky(cfg);
+  ASSERT_EQ(a.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(a.tasks_done,
+            hicma::TlrCholeskyGraph(cfg.tlr, cfg.nodes).total_tasks());
+  const auto b = hicma::run_tlr_cholesky(cfg);
+  EXPECT_EQ(b.run_status, amt::RunStatus::Ok);
+  EXPECT_EQ(a.tts_s, b.tts_s);
+  EXPECT_EQ(a.fabric_messages, b.fabric_messages);
+  EXPECT_EQ(a.fabric_bytes, b.fabric_bytes);
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.runtime_stats.tasks_reexecuted,
+            b.runtime_stats.tasks_reexecuted);
+  EXPECT_EQ(a.runtime_stats.reannounces, b.runtime_stats.reannounces);
+}
+
 class CrashBackends : public ::testing::TestWithParam<BackendKind> {};
 
 TEST_P(CrashBackends, TlrCholeskySurvivesCrashesAndIsDeterministic) {
@@ -129,21 +146,6 @@ TEST_P(CrashBackends, CrashBeforeAnotherVerdictRecovers) {
 // (ErrDeadlock).  Two schedules that hit it: a single crash with no
 // restart (arity-3 multicast), and a second crash 150 ms after the first.
 TEST_P(CrashBackends, ReannounceJoinsAFetchInFlight) {
-  const auto expect_recovers = [](const hicma::ExperimentConfig& cfg) {
-    const auto a = hicma::run_tlr_cholesky(cfg);
-    ASSERT_EQ(a.run_status, amt::RunStatus::Ok);
-    EXPECT_EQ(a.tasks_done,
-              hicma::TlrCholeskyGraph(cfg.tlr, cfg.nodes).total_tasks());
-    const auto b = hicma::run_tlr_cholesky(cfg);
-    EXPECT_EQ(b.run_status, amt::RunStatus::Ok);
-    EXPECT_EQ(a.tts_s, b.tts_s);
-    EXPECT_EQ(a.fabric_messages, b.fabric_messages);
-    EXPECT_EQ(a.fabric_bytes, b.fabric_bytes);
-    EXPECT_EQ(a.tasks, b.tasks);
-    EXPECT_EQ(a.runtime_stats.tasks_reexecuted,
-              b.runtime_stats.tasks_reexecuted);
-    EXPECT_EQ(a.runtime_stats.reannounces, b.runtime_stats.reannounces);
-  };
   {
     SCOPED_TRACE("node 7, arity 3");
     hicma::ExperimentConfig cfg = base_config(GetParam());
@@ -159,6 +161,24 @@ TEST_P(CrashBackends, ReannounceJoinsAFetchInFlight) {
     cfg.fabric.faults.crashes.push_back(net::CrashEvent{5, half, 0});
     cfg.fabric.faults.crashes.push_back(
         net::CrashEvent{6, half + 150 * des::kMillisecond, 0});
+    expect_recovers(cfg);
+  }
+}
+
+// Node 3 crashes at half the clean makespan and restarts before (30 ms)
+// or after (100, 300 ms) the detector's verdict.  A restart revives only
+// the comm level, so the node answers heartbeats again: without recovery
+// at the restart no verdict ever came, and the 30 ms run ended
+// ErrDeadlock.
+TEST_P(CrashBackends, RestartBeforeVerdictRecovers) {
+  const auto clean = hicma::run_tlr_cholesky(base_config(GetParam()));
+  ASSERT_EQ(clean.run_status, amt::RunStatus::Ok);
+  const auto half = static_cast<des::Duration>(clean.tts_s * 1e9) / 2;
+  for (const int restart_ms : {30, 100, 300}) {
+    SCOPED_TRACE(::testing::Message() << "restart_ms=" << restart_ms);
+    hicma::ExperimentConfig cfg = base_config(GetParam());
+    cfg.fabric.faults.crashes.push_back(
+        net::CrashEvent{3, half, half + restart_ms * des::kMillisecond});
     expect_recovers(cfg);
   }
 }
