@@ -137,12 +137,8 @@ struct LatencyStats {
   std::uint64_t count() const { return e2e.count(); }
   double hop_mean_ns() const { return hop.mean(); }
   double e2e_mean_ns() const { return e2e.mean(); }
-  double hop_max_ns() const { return hop.max(); }
   double e2e_max_ns() const { return e2e.max(); }
-  double hop_p50_ns() const { return hop.p50(); }
-  double hop_p99_ns() const { return hop.p99(); }
   double e2e_p50_ns() const { return e2e.p50(); }
-  double e2e_p90_ns() const { return e2e.p90(); }
   double e2e_p99_ns() const { return e2e.p99(); }
 };
 

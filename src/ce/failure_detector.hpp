@@ -44,15 +44,6 @@ namespace ce {
 
 enum class PeerState : std::uint8_t { Alive = 0, Suspect = 1, Dead = 2 };
 
-inline const char* peer_state_name(PeerState s) {
-  switch (s) {
-    case PeerState::Alive: return "Alive";
-    case PeerState::Suspect: return "Suspect";
-    case PeerState::Dead: return "Dead";
-  }
-  return "?";
-}
-
 /// Domain-wide detector counters (summed over all nodes), exported as
 /// "ce.fd.*" through kFdCounters.
 struct FdStats {

@@ -129,7 +129,6 @@ Fabric::Fabric(des::Engine& engine, int num_nodes, FabricConfig config)
   // owns) can never cancel its restart.
   crash_start_.resize(static_cast<std::size_t>(num_nodes), des::kTimeNever);
   crash_end_.resize(static_cast<std::size_t>(num_nodes), des::kTimeNever);
-  crashed_.resize(static_cast<std::size_t>(num_nodes), false);
   for (const CrashEvent& c : cfg_.faults.crashes) {
     check_node("faults.crashes[].node", c.node);
     const auto i = static_cast<std::size_t>(c.node);
@@ -157,14 +156,12 @@ void Fabric::fire_crash(NodeId node) {
   obs::FlightRecorder::global().record(node, obs::FlightKind::Crash,
                                        eng_.now(), 0, n);
   fault_stats_.crash_cancelled_events += n;
-  crashed_[static_cast<std::size_t>(node)] = true;
   for (const CrashHandler& h : crash_handlers_) h(node, false);
 }
 
 void Fabric::fire_restart(NodeId node) {
   obs::FlightRecorder::global().record(node, obs::FlightKind::Restart,
                                        eng_.now());
-  crashed_[static_cast<std::size_t>(node)] = false;
   for (const CrashHandler& h : crash_handlers_) h(node, true);
 }
 

@@ -193,12 +193,6 @@ class Fabric {
   /// Fault-injection counters (all zero when cfg.faults is inactive).
   const FaultStats& fault_stats() const { return fault_stats_; }
 
-  /// Ground-truth liveness: false while `node` is inside a crash window
-  /// (i.e. after its crash control event fired and before any restart).
-  bool node_alive(NodeId node) const {
-    return !crashed_.at(static_cast<std::size_t>(node));
-  }
-
   /// Registers a callback fired when a node's fail-stop state changes:
   /// fn(node, false) at crash time (after the events the node owns were
   /// cancelled), fn(node, true) at restart.  Handlers are invoked in
@@ -291,10 +285,9 @@ class Fabric {
   des::Rng fault_rng_;
   // Fail-stop crash state: per-node half-open windows [start, end) for
   // the hot-path drop tests (kTimeNever start = never crashes) plus the
-  // event-driven liveness flags and subscriber list.
+  // subscriber list.
   std::vector<des::Time> crash_start_;
   std::vector<des::Time> crash_end_;
-  std::vector<bool> crashed_;
   std::vector<CrashHandler> crash_handlers_;
 };
 

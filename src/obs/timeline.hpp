@@ -135,7 +135,6 @@ class Timeline final : public des::Sampler {
   /// series' time-weighted window, and disarms future sampling.
   void finish(des::Time end);
 
-  std::size_t num_probes() const { return probes_.size(); }
   const ProbeSeries& probe(std::size_t i) const { return probes_[i].series; }
   const std::vector<PhaseMark>& phases() const { return phases_; }
 
