@@ -15,13 +15,12 @@
 // fire on the MPI backend.
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "ce/world.hpp"
 #include "des/engine.hpp"
-#include "des/poll_loop.hpp"
 #include "des/sim_thread.hpp"
 #include "net/fabric.hpp"
 #include "obs/stats.hpp"
@@ -38,16 +37,14 @@ obs::Histogram run_case(ce::BackendKind kind, bool progress_thread) {
   ce_cfg.eager_put_max = 0;
   ce::CommWorld world(fabric, kind, ce_cfg);
 
-  std::vector<std::unique_ptr<des::SimThread>> threads;
-  std::vector<std::unique_ptr<des::PollLoop>> loops;
+  std::deque<des::PollThread> threads;
   for (int n = 0; n < 2; ++n) {
-    threads.push_back(
-        std::make_unique<des::SimThread>(eng, "comm-" + std::to_string(n)));
     auto& engine = world.engine(n);
-    loops.push_back(std::make_unique<des::PollLoop>(
-        *threads.back(), 50, [&engine]() { return engine.progress() > 0; }));
-    engine.set_wake_callback([loop = loops.back().get()]() { loop->wake(); });
-    loops.back()->start();
+    des::PollThread& th = threads.emplace_back(
+        eng, "comm-" + std::to_string(n), 50,
+        [&engine]() { return engine.progress() > 0; });
+    engine.set_wake_callback([&th]() { th.wake(); });
+    th.wake();
   }
 
   constexpr ce::Tag kBusy = 1, kDone = 2;
@@ -85,9 +82,8 @@ obs::Histogram run_case(ce::BackendKind kind, bool progress_thread) {
     world.engine(0).put(lreg, 0, rreg, 0, 256 * 1024, 1, nullptr, nullptr,
                         kDone, &i, sizeof i);
   }
-  for (auto& loop : loops) loop->wake();
+  for (auto& th : threads) th.wake();
   eng.run();
-  for (auto& loop : loops) loop->stop();
   return latency;
 }
 

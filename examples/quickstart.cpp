@@ -6,13 +6,12 @@
 //               ./build/examples/quickstart
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include "ce/world.hpp"
 #include "des/engine.hpp"
-#include "des/poll_loop.hpp"
 #include "des/sim_thread.hpp"
 #include "net/fabric.hpp"
 
@@ -27,16 +26,14 @@ int main() {
 
   // 3. Each node runs a communication thread polling progress(), exactly
   //    like the PaRSEC runtime does.
-  std::vector<std::unique_ptr<des::SimThread>> threads;
-  std::vector<std::unique_ptr<des::PollLoop>> loops;
+  std::deque<des::PollThread> threads;
   for (int n = 0; n < 4; ++n) {
-    threads.push_back(
-        std::make_unique<des::SimThread>(eng, "comm-" + std::to_string(n)));
     auto& engine = world.engine(n);
-    loops.push_back(std::make_unique<des::PollLoop>(
-        *threads.back(), 50, [&engine]() { return engine.progress() > 0; }));
-    engine.set_wake_callback([loop = loops.back().get()]() { loop->wake(); });
-    loops.back()->start();
+    des::PollThread& th = threads.emplace_back(
+        eng, "comm-" + std::to_string(n), 50,
+        [&engine]() { return engine.progress() > 0; });
+    engine.set_wake_callback([&th]() { th.wake(); });
+    th.wake();
   }
 
   // 4. Register active messages (the runtime registers ACTIVATE and
@@ -83,7 +80,7 @@ int main() {
       },
       nullptr, kDataDone, "flow-A", 6);
 
-  for (auto& loop : loops) loop->wake();
+  for (auto& th : threads) th.wake();
   eng.run();
 
   std::printf("data landed intact: %s\n",
@@ -92,6 +89,5 @@ int main() {
                   ? "yes"
                   : "NO");
   std::printf("simulated time: %s\n", des::format_time(eng.now()).c_str());
-  for (auto& loop : loops) loop->stop();
   return 0;
 }

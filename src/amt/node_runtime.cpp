@@ -14,7 +14,10 @@ NodeRuntime::NodeRuntime(des::Engine& engine, int rank, ce::CommEngine& comm,
                          TaskGraphDef& def, const RuntimeConfig& cfg,
                          NodeStats& stats, FaultState* ft)
     : eng_(engine), rank_(rank), comm_(comm), def_(def), cfg_(cfg),
-      stats_(stats), ft_(ft) {
+      stats_(stats),
+      comm_thread_(engine, "comm-" + std::to_string(rank),
+                   cfg.comm_loop_cost, [this]() { return comm_body(); }),
+      ft_(ft) {
   assert(def.total_tasks() < (std::uint64_t{1} << 32) &&
          "dense task ids must fit the 32-bit waiting-task index");
   static_assert(sizeof(Worker) <= 32, "worker row grew past 32 bytes");
@@ -25,18 +28,9 @@ NodeRuntime::NodeRuntime(des::Engine& engine, int rank, ce::CommEngine& comm,
                 "waiting-task index entries are 8 bytes");
 }
 
-NodeRuntime::~NodeRuntime() {
-  if (comm_loop_) comm_loop_->stop();
-}
-
 void NodeRuntime::start() {
-  // Communication thread + poll loop.
-  comm_thread_ = std::make_unique<des::SimThread>(
-      eng_, "comm-" + std::to_string(rank_));
-  comm_loop_ = std::make_unique<des::PollLoop>(
-      *comm_thread_, cfg_.comm_loop_cost, [this]() { return comm_body(); });
-  comm_.set_wake_callback([this]() { comm_loop_->wake(); });
-  comm_loop_->start();
+  comm_.set_wake_callback([this]() { comm_thread_.wake(); });
+  comm_thread_.wake();
 
   // The two runtime active messages (§4.1) plus the put r_tag.  The tags
   // are compile-time distinct and the sizes within the backend AM limit,
@@ -81,15 +75,15 @@ void NodeRuntime::start() {
 des::Duration NodeRuntime::worker_busy_time() const {
   des::Duration total = 0;
   if (workers_) {
-    for (const Worker& w : *workers_) total += w.busy;
+    for (const Worker& w : *workers_) total += w.busy_time();
   }
   return total;
 }
 
 des::Time NodeRuntime::threads_free_at() const {
-  des::Time t = comm_thread_->free_at();
+  des::Time t = comm_thread_.busy_until();
   if (workers_) {
-    for (const Worker& w : *workers_) t = std::max(t, w.busy_until);
+    for (const Worker& w : *workers_) t = std::max(t, w.busy_until());
   }
   return t;
 }
@@ -100,7 +94,7 @@ std::string NodeRuntime::track_name(const des::ChargeTarget& t) const {
          std::to_string(cfg_.workers - 1 - static_cast<int>(w.index));
 }
 
-void NodeRuntime::wake_comm() { comm_loop_->wake(); }
+void NodeRuntime::wake_comm() { comm_thread_.wake(); }
 
 // ---------------------------------------------------------------------------
 // Scheduling
@@ -167,23 +161,14 @@ void NodeRuntime::try_dispatch() {
 }
 
 void NodeRuntime::dispatch(Worker& w) {
-  eng_.schedule_at(std::max(eng_.now(), w.busy_until) + cfg_.scheduler_cost,
-                   [this, &w]() { run_worker(w); });
+  w.schedule_item(eng_, cfg_.scheduler_cost, [this, &w]() { run_worker(w); });
 }
 
 void NodeRuntime::run_worker(Worker& w) {
   const std::uint32_t slot = w.slot;
   w.slot = kNoTask;
-  const des::Duration charged = w.run_charged([&]() { run_task(w, slot); });
-  const des::Duration occupied = cfg_.scheduler_cost + charged;
-  w.busy_until = eng_.now() + charged;
-  w.busy += occupied;
-  if (des::TraceSink* sink = eng_.trace_sink()) {
-    if (occupied > 0) {
-      sink->span(w.track_name(), "task", eng_.now() - cfg_.scheduler_cost,
-                 occupied);
-    }
-  }
+  w.run_item(eng_, cfg_.scheduler_cost, "task",
+             [&]() { run_task(w, slot); });
   if (w.slot != kNoTask) dispatch(w);
 }
 

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <memory_resource>
 #include <optional>
 #include <queue>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "ce/comm_engine.hpp"
-#include "des/poll_loop.hpp"
 #include "des/sim_thread.hpp"
 #include "des/slab.hpp"
 #include "amt/config.hpp"
@@ -51,7 +49,6 @@ class NodeRuntime final : private des::ChargeTarget::Namer {
   NodeRuntime(des::Engine& engine, int rank, ce::CommEngine& comm,
               TaskGraphDef& def, const RuntimeConfig& cfg, NodeStats& stats,
               FaultState* ft = nullptr);
-  ~NodeRuntime();
   NodeRuntime(const NodeRuntime&) = delete;
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
@@ -63,11 +60,10 @@ class NodeRuntime final : private des::ChargeTarget::Namer {
   /// Longest weighted dependency chain ending on this node.
   const CriticalPath& crit() const { return crit_; }
 
-  /// Timeline-probe introspection: tasks released but not yet dispatched,
-  /// announced flows still awaiting arrival, and GET DATAs on the wire.
+  /// Timeline-probe introspection: tasks released but not yet dispatched
+  /// and announced flows still awaiting arrival.
   std::size_t ready_tasks() const { return ready_.size(); }
   std::size_t pending_fetches() const { return pending_index_.size(); }
-  int inflight_fetches() const { return inflight_fetches_; }
 
   /// Worker rows built so far: a row is built when no built worker is
   /// idle and a task is ready, and the idle list is LIFO, so this is the
@@ -81,7 +77,6 @@ class NodeRuntime final : private des::ChargeTarget::Namer {
   /// The engine stops at the last *event*; a final task's charged compute
   /// elapses past it, so the true makespan is the max of both.
   des::Time threads_free_at() const;
-  des::SimThread& comm_thread() { return *comm_thread_; }
 
   // --- fail-stop recovery hooks (no-ops unless ft was passed) -----------
   /// Ground-truth crash notification: this node stops doing work.  The
@@ -165,14 +160,12 @@ class NodeRuntime final : private des::ChargeTarget::Namer {
   /// One worker thread: a row of the node's worker table.  A row is what
   /// des::charge_current() charges while its task runs, so it is also the
   /// calling thread mmpi tells apart and the `worker-R.W` trace track.
-  /// It holds only what the model reads; no work queue, since a worker
-  /// holds at most one task: the one it runs, or, while still inside its
-  /// item, the next one it picked up (dispatched when the item ends).
-  struct Worker : des::ChargeTarget {
+  /// It adds to the occupancy rule only the task it holds: the one it
+  /// runs, or, while still inside its item, the next one it picked up
+  /// (dispatched when the item ends).
+  struct Worker : des::SimThread {
     Worker(const Namer& namer, std::uint32_t row)
-        : ChargeTarget(namer), index(row) {}
-    des::Time busy_until = 0;     ///< charged-busy horizon
-    des::Duration busy = 0;       ///< total occupied time
+        : SimThread(namer), index(row) {}
     std::uint32_t slot = kNoTask;  ///< task slot to run next
     std::uint32_t index;          ///< row number, in build order
   };
@@ -287,8 +280,7 @@ class NodeRuntime final : private des::ChargeTarget::Namer {
   int inflight_fetches_ = 0;
   std::uint64_t span_seq_ = 0;  ///< per-node trace span allocator
 
-  std::unique_ptr<des::SimThread> comm_thread_;
-  std::unique_ptr<des::PollLoop> comm_loop_;
+  des::PollThread comm_thread_;
 
   // Scratch to avoid per-call allocation in hot paths.
   std::vector<Dep> deps_scratch_;

@@ -33,10 +33,9 @@ LciBackend::LciBackend(mlci::Device& device, des::Engine& engine,
   if (cfg_.progress_thread) {
     // §5.3.1: a thread dedicated to LCI_progress, decoupling progress on
     // existing communications from callback execution.
-    progress_thread_ = std::make_unique<des::SimThread>(
-        eng_, "lci-progress-" + std::to_string(dev_.rank()));
-    progress_loop_ = std::make_unique<des::PollLoop>(
-        *progress_thread_, cfg_.loop_cost, [this]() {
+    progress_thread_.emplace(
+        eng_, "lci-progress-" + std::to_string(dev_.rank()), cfg_.loop_cost,
+        [this]() {
           const int n = mlci::progress(dev_);
           // Progress may have freed the resources a Retry-parked
           // operation is waiting for; those retries live on the
@@ -48,8 +47,8 @@ LciBackend::LciBackend(mlci::Device& device, des::Engine& engine,
           }
           return n > 0;
         });
-    dev_.set_event_notifier([this]() { progress_loop_->wake(); });
-    progress_loop_->start();
+    dev_.set_event_notifier([this]() { progress_thread_->wake(); });
+    progress_thread_->wake();
   } else {
     // Ablation: no progress thread; the communication thread must drive
     // LCI progress from within progress().
@@ -58,7 +57,6 @@ LciBackend::LciBackend(mlci::Device& device, des::Engine& engine,
 }
 
 LciBackend::~LciBackend() {
-  if (progress_loop_) progress_loop_->stop();
   if (retry_timer_ != des::kInvalidEvent) {
     eng_.cancel(retry_timer_);
     retry_timer_ = des::kInvalidEvent;

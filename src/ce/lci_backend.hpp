@@ -24,13 +24,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "ce/comm_engine.hpp"
 #include "ce/reliable.hpp"
-#include "des/poll_loop.hpp"
 #include "des/ring.hpp"
 #include "des/rng.hpp"
 #include "des/sim_thread.hpp"
@@ -41,8 +40,7 @@ namespace ce {
 
 class LciBackend final : public CommEngine {
  public:
-  /// `progress_core` names the simulated core for the progress thread; it
-  /// is created only when cfg.progress_thread is set.
+  /// The progress thread is created only when cfg.progress_thread is set.
   LciBackend(mlci::Device& device, des::Engine& engine, CeConfig cfg = {});
   ~LciBackend() override;
 
@@ -64,10 +62,6 @@ class LciBackend final : public CommEngine {
   void set_wake_callback(std::function<void()> fn) override;
   const CeStats& stats() const override { return stats_; }
   void set_recorder(obs::Recorder* rec) override;
-
-  /// The progress thread (null when disabled) — exposed so experiments can
-  /// read its utilization.
-  des::SimThread* progress_thread() { return progress_thread_.get(); }
 
  private:
   struct AmTagInfo {
@@ -186,8 +180,7 @@ class LciBackend final : public CommEngine {
   des::Slab<DataHandle> handles_;
   std::vector<std::byte> handshake_buf_;  ///< reused handshake packing
 
-  std::unique_ptr<des::SimThread> progress_thread_;
-  std::unique_ptr<des::PollLoop> progress_loop_;
+  std::optional<des::PollThread> progress_thread_;  ///< none when disabled
 
   // Retry pacing: instead of hot-spinning drain_retries() on every
   // progress() pass while mlci keeps answering Retry, attempts back off

@@ -1,6 +1,6 @@
 // Ring: a FIFO over a vector used as a circular buffer.
 //
-// The simulator's queues (SimThread work items, mlci hardware queues, the
+// The simulator's queues (mlci and mmpi hardware queues, the
 // communication engines' callback-handle FIFOs) see steady push/pop
 // traffic.  std::deque allocates and frees a chunk whenever its head or
 // tail crosses a chunk boundary, so a steady stream churns the allocator;

@@ -1,37 +1,36 @@
-// SimThread: a serialized executor modeling one pinned OS thread.
+// SimThread: the occupancy rule of one pinned OS thread; PollThread: a
+// polling loop on one.
 //
 // PaRSEC's communication thread and the LCI backend's progress thread are
-// SimThreads; amt's worker threads are rows of a per-node table (see
-// ChargeTarget below).  Work items run one at a time; each
-// occupies the thread for a modeled duration, so a slow active-message
-// callback delays everything queued behind it — the §4.3 bottleneck the
-// paper describes emerges directly from this serialization.
-//
-// An item's function executes when its modeled duration elapses.  Code
-// inside an item may call charge(extra) when the cost depends on what the
-// item discovered (e.g. per-message matching cost); the extra time delays
-// subsequent items and counts toward busy-time statistics.
+// PollThreads; amt's worker threads are rows of a per-node table that
+// derive from SimThread.  A thread runs one item at a time; each occupies
+// it for a modeled cost, and code inside the item may charge more
+// (charge_current) when the cost depends on what it discovered (e.g.
+// per-message matching cost).  The extra time delays the thread's next
+// item and counts toward its busy time, so a slow active-message callback
+// delays everything behind it: the §4.3 bottleneck the paper describes
+// emerges directly from this serialization.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "des/engine.hpp"
-#include "des/ring.hpp"
 #include "des/time.hpp"
 #include "des/trace_sink.hpp"
 
 namespace des {
 
-/// What charge_current() charges: the simulated thread whose work item is
-/// executing.  A SimThread is one; amt's worker rows are the other kind,
-/// so a worker needs no SimThread of its own.  Only one work item
-/// executes at a time in the whole simulation, so the running item's
-/// charge is held once, next to current(), and a target carries only the
-/// namer of its trace track.  The charge path makes no virtual call.
+/// What charge_current() charges: the simulated thread (a SimThread) whose
+/// work item is executing.  Only one work item executes at a time in the
+/// whole simulation, so the running item's charge is held once, next to
+/// current(), and a target carries only the namer of its trace track.  The
+/// charge path makes no virtual call.
 class ChargeTarget {
  public:
   /// Names the trace track of each target that points at it.  Asked only
@@ -61,6 +60,7 @@ class ChargeTarget {
 
   std::string track_name() const { return namer_->track_name(*this); }
 
+ protected:
   /// Runs `fn` as a work item of this target and returns the time it
   /// charged.
   template <class F>
@@ -93,119 +93,114 @@ inline void charge_current(Duration cost) {
   if (ChargeTarget::current_ != nullptr) ChargeTarget::charge_ += cost;
 }
 
+/// A ChargeTarget with the occupancy rule: an item of modeled `cost`
+/// scheduled at `now` ends at max(now, busy_until) + cost; what its body
+/// charges then keeps the thread busy past that end.  The owner schedules
+/// items with schedule_item and runs each from the scheduled callback with
+/// run_item; the thread holds no queue, so an owner with a next item
+/// schedules it when the current one has run.
 class SimThread : public ChargeTarget {
  public:
-  SimThread(Engine& engine, std::string name)
-      : ChargeTarget(kNamer), eng_(engine), name_(std::move(name)),
-        created_at_(engine.now()) {}
+  explicit SimThread(const Namer& namer) : ChargeTarget(namer) {}
 
-  Engine& engine() { return eng_; }
-  const std::string& name() const { return name_; }
-
-  /// Enqueues a work item that occupies this thread for `cost` and then
-  /// executes `fn`.  Items run in FIFO order.  `label` (a string with
-  /// static lifetime) names the item's occupancy span when tracing is on.
-  void post_work(Duration cost, EventQueue::Callback fn,
-                 const char* label = nullptr) {
-    assert(cost >= 0);
-    if (dispatch_pending_ || in_item_) {
-      queue_.push_back(Item{cost, std::move(fn), label});
-      return;
-    }
-    // An idle thread starts the item at once (the queue is empty then):
-    // threads that never queue a second item never allocate a queue.
-    assert(queue_.empty());
-    dispatch(Item{cost, std::move(fn), label});
-  }
-
-  /// Enqueues a zero-cost item (bookkeeping that is modeled as free).
-  void post(EventQueue::Callback fn) { post_work(0, std::move(fn)); }
-
-  /// From inside a running item: occupies the thread for `extra` more time
-  /// before the next item may start.
-  void charge(Duration extra) {
-    assert(in_item_ && current() == this && "charge() outside of a work item");
-    charge_current(extra);
-  }
-
-  /// True while a work item body is executing (or scheduled to finish later
-  /// than now) — i.e. the modeled thread is occupied.
-  bool busy() const { return in_item_ || dispatch_pending_ || !queue_.empty(); }
-
-  /// Earliest time a newly posted item could start executing.
-  Time free_at() const { return free_at_; }
-
-  std::size_t queued_items() const { return queue_.size(); }
-
+  /// Charged-busy horizon: the earliest time a new item could start.
+  Time busy_until() const { return busy_until_; }
   /// Total modeled time this thread spent executing items.
-  Duration busy_time() const { return busy_total_; }
+  Duration busy_time() const { return busy_; }
 
-  /// Fraction of lifetime spent busy; 0 if no time has elapsed.
-  double utilization() const {
-    const Duration alive = eng_.now() - created_at_;
-    if (alive <= 0) return 0.0;
-    return static_cast<double>(busy_total_) / static_cast<double>(alive);
+  /// Schedules an item occupying this thread for `cost`: `fire` runs when
+  /// the item ends and must call run_item with the same cost.
+  template <class F>
+  EventId schedule_item(Engine& eng, Duration cost, F&& fire) {
+    assert(cost >= 0);
+    return eng.schedule_at(std::max(eng.now(), busy_until_) + cost,
+                           std::forward<F>(fire));
+  }
+
+  /// Runs the body of an item of `cost` ending now, charging it to this
+  /// thread, and accounts for it: busy until now + what the body charged.
+  /// When tracing, the item is one span named `label` (a string with
+  /// static lifetime) from its start.
+  template <class F>
+  void run_item(Engine& eng, Duration cost, const char* label, F&& body) {
+    const Duration charged = run_charged(body);
+    const Duration occupied = cost + charged;
+    busy_until_ = eng.now() + charged;
+    busy_ += occupied;
+    if (TraceSink* sink = eng.trace_sink()) {
+      if (occupied > 0) {
+        sink->span(track_name(), label, eng.now() - cost, occupied);
+      }
+    }
+  }
+
+ private:
+  Time busy_until_ = 0;
+  Duration busy_ = 0;
+};
+static_assert(sizeof(SimThread) == 24, "SimThread grew past 24 bytes");
+
+/// A polling loop on its own simulated thread.
+///
+/// Real progress/communication threads spin, polling for work.  A naive
+/// simulated spin loop would generate events forever and the simulation
+/// would never drain, so a PollThread is event-driven: while the body
+/// reports work it runs again (paying `iteration_cost` per pass, like a
+/// real poll); when the body reports idle the thread parks until wake() is
+/// called (by a NIC delivery hook, a command enqueue, ...).  This preserves
+/// the timing behaviour of busy polling — a parked thread resumes
+/// immediately on wake — without the event-queue livelock.
+class PollThread final : public SimThread {
+ public:
+  /// `body` returns true when it did work (keeps the loop hot).  The
+  /// thread starts parked: the first wake() starts polling.
+  PollThread(Engine& engine, std::string name, Duration iteration_cost,
+             std::function<bool()> body)
+      : SimThread(kNamer), eng_(engine), name_(std::move(name)),
+        iteration_cost_(iteration_cost), body_(std::move(body)) {}
+  PollThread(const PollThread&) = delete;
+  PollThread& operator=(const PollThread&) = delete;
+  /// A pending iteration never fires after its thread is gone.
+  ~PollThread() {
+    if (pending_ != kInvalidEvent) eng_.cancel(pending_);
+  }
+
+  /// Signals that work may be available.  A parked thread schedules its
+  /// next iteration at once; a wake during the thread's own body makes it
+  /// iterate again, scheduled once that iteration is accounted for; a
+  /// pending iteration absorbs the wake.  Safe to call from any simulation
+  /// context.
+  void wake() {
+    wake_ = true;
+    if (pending_ == kInvalidEvent && current() != this) arm();
   }
 
  private:
   struct TrackNamer final : ChargeTarget::Namer {
     std::string track_name(const ChargeTarget& t) const override {
-      return static_cast<const SimThread&>(t).name_;
+      return static_cast<const PollThread&>(t).name_;
     }
   };
   inline static const TrackNamer kNamer{};
 
-  struct Item {
-    Duration cost;
-    EventQueue::Callback fn;
-    const char* label = nullptr;
-  };
-
-  // Only one item is in flight per thread, so the dispatched item parks in
-  // running_ and the scheduled closure captures just `this` — it always
-  // fits InplaceCallback's inline storage, keeping the per-item event
-  // allocation-free even when the item's own fn carries a large capture.
-  void pump() {
-    if (dispatch_pending_ || in_item_ || queue_.empty()) return;
-    dispatch(queue_.pop_front());
+  void arm() {
+    pending_ = schedule_item(eng_, iteration_cost_, [this]() { iterate(); });
   }
 
-  void dispatch(Item&& item) {
-    dispatch_pending_ = true;
-    running_ = std::move(item);
-    running_start_ = std::max(eng_.now(), free_at_);
-    eng_.schedule_at(running_start_ + running_.cost,
-                     [this]() { run_item(); });
-  }
-
-  void run_item() {
-    Item item = std::move(running_);  // fn may post work and re-pump
-    dispatch_pending_ = false;
-    in_item_ = true;
-    const Duration extra = run_charged(item.fn);
-    in_item_ = false;
-    free_at_ = eng_.now() + extra;
-    busy_total_ += item.cost + extra;
-    if (TraceSink* sink = eng_.trace_sink()) {
-      const Duration occupied = item.cost + extra;
-      if (occupied > 0) {
-        sink->span(name_, item.label ? item.label : "work", running_start_,
-                   occupied);
-      }
-    }
-    pump();
+  void iterate() {
+    pending_ = kInvalidEvent;
+    wake_ = false;
+    bool worked = false;
+    run_item(eng_, iteration_cost_, "poll", [&]() { worked = body_(); });
+    if (worked || wake_) arm();
   }
 
   Engine& eng_;
   std::string name_;
-  Ring<Item> queue_;
-  Item running_{};
-  Time running_start_ = 0;
-  Time free_at_ = 0;
-  Time created_at_ = 0;
-  Duration busy_total_ = 0;
-  bool in_item_ = false;
-  bool dispatch_pending_ = false;
+  Duration iteration_cost_;
+  std::function<bool()> body_;
+  EventId pending_ = kInvalidEvent;
+  bool wake_ = false;  ///< a wake arrived since the iteration began
 };
 
 /// Emits one end of a causal flow arrow at the current charged-local time

@@ -8,7 +8,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -16,7 +16,6 @@
 #include "ce/mpi_backend.hpp"
 #include "ce/world.hpp"
 #include "des/engine.hpp"
-#include "des/poll_loop.hpp"
 #include "des/sim_thread.hpp"
 #include "net/fabric.hpp"
 
@@ -35,32 +34,25 @@ constexpr Tag kGetData = 2;
 constexpr Tag kPutDone = 3;
 
 /// Test world: a fabric, a CommWorld, and one "communication thread"
-/// (SimThread + PollLoop over progress()) per node, wired to the engine
+/// (a PollThread over progress()) per node, wired to the engine
 /// wake callbacks — the same shape the AMT runtime uses.
 struct CeWorld {
   des::Engine eng;
   net::Fabric fab;
   CommWorld world;
-  std::vector<std::unique_ptr<des::SimThread>> threads;
-  std::vector<std::unique_ptr<des::PollLoop>> loops;
+  std::deque<des::PollThread> threads;
 
   CeWorld(int nodes, BackendKind kind, CeConfig cfg = {},
           mmpi::Config mpi_cfg = {}, mlci::Config lci_cfg = {})
       : fab(eng, nodes), world(fab, kind, cfg, mpi_cfg, lci_cfg) {
     for (int n = 0; n < nodes; ++n) {
-      threads.push_back(std::make_unique<des::SimThread>(
-          eng, "comm-" + std::to_string(n)));
       auto& engine = world.engine(n);
-      loops.push_back(std::make_unique<des::PollLoop>(
-          *threads.back(), 25, [&engine]() { return engine.progress() > 0; }));
-      engine.set_wake_callback(
-          [loop = loops.back().get()]() { loop->wake(); });
-      loops.back()->start();
+      des::PollThread& th = threads.emplace_back(
+          eng, "comm-" + std::to_string(n), 25,
+          [&engine]() { return engine.progress() > 0; });
+      engine.set_wake_callback([&th]() { th.wake(); });
+      th.wake();
     }
-  }
-
-  ~CeWorld() {
-    for (auto& l : loops) l->stop();
   }
 
   CommEngine& engine(int n) { return world.engine(n); }
@@ -68,7 +60,7 @@ struct CeWorld {
   /// Nudges every comm loop (after driver-initiated sends) and runs the
   /// simulation until quiescent.
   void run() {
-    for (auto& l : loops) l->wake();
+    for (auto& th : threads) th.wake();
     eng.run();
   }
 };
@@ -783,9 +775,12 @@ TEST(CeLciBackend, NativePutAfterBackendDestructionRunsNoHandler) {
             mlci::Status::Ok);
   eng.run();  // the put lands in device 1's hardware queue
   ASSERT_EQ(lci.device(1).pending_hw_events(), 1u);
-  des::SimThread thread(eng, "progress");
   int processed = 0;
-  thread.post([&] { processed = mlci::progress(lci.device(1)); });
+  des::PollThread thread(eng, "progress", 0, [&] {
+    processed = mlci::progress(lci.device(1));
+    return false;
+  });
+  thread.wake();
   eng.run();
   EXPECT_EQ(processed, 1);
   const mlci::Config& lcfg = lci.config();

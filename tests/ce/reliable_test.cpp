@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,7 +15,6 @@
 #include "ce/comm_engine.hpp"
 #include "ce/world.hpp"
 #include "des/engine.hpp"
-#include "des/poll_loop.hpp"
 #include "des/rng.hpp"
 #include "des/sim_thread.hpp"
 #include "net/fabric.hpp"
@@ -160,21 +159,18 @@ struct RelWorld {
   des::Engine eng;
   net::Fabric fab;
   CommWorld world;
-  std::vector<std::unique_ptr<des::SimThread>> threads;
-  std::vector<std::unique_ptr<des::PollLoop>> loops;
+  std::deque<des::PollThread> threads;
 
   RelWorld(int nodes, BackendKind kind, net::FabricConfig fab_cfg,
            CeConfig cfg = make_reliable_cfg())
       : fab(eng, nodes, fab_cfg), world(fab, kind, cfg) {
     for (int n = 0; n < nodes; ++n) {
-      threads.push_back(std::make_unique<des::SimThread>(
-          eng, "comm-" + std::to_string(n)));
       auto& engine = world.engine(n);
-      loops.push_back(std::make_unique<des::PollLoop>(
-          *threads.back(), 25, [&engine]() { return engine.progress() > 0; }));
-      engine.set_wake_callback(
-          [loop = loops.back().get()]() { loop->wake(); });
-      loops.back()->start();
+      des::PollThread& th = threads.emplace_back(
+          eng, "comm-" + std::to_string(n), 25,
+          [&engine]() { return engine.progress() > 0; });
+      engine.set_wake_callback([&th]() { th.wake(); });
+      th.wake();
     }
   }
 
@@ -184,12 +180,8 @@ struct RelWorld {
     return cfg;
   }
 
-  ~RelWorld() {
-    for (auto& l : loops) l->stop();
-  }
-
   void run() {
-    for (auto& l : loops) l->wake();
+    for (auto& th : threads) th.wake();
     eng.run();
   }
 };
@@ -365,7 +357,7 @@ TEST(MetricsSnapshot, LiveRecorderKeepsOnlyHistogramsOnLci) {
     ASSERT_EQ(w.world.engine(0).send_am(kPing, 1, &i, sizeof i),
               ce::Status::Ok);
   }
-  for (auto& l : w.loops) l->wake();
+  for (auto& th : w.threads) th.wake();
   ASSERT_TRUE(w.eng.run_while_pending([&]() {
     return got == kMsgs && w.world.reliability()->unacked() == 0;
   }));

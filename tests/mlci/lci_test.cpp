@@ -249,11 +249,14 @@ TEST(Mlci, ProgressReturnsProcessedCount) {
 
 TEST(Mlci, ProgressCostChargedToCallingThread) {
   World w(2);
-  des::SimThread prog(w.eng, "progress");
+  des::PollThread prog(w.eng, "progress", 0, [&] {
+    mlci::progress(w.lci.device(1));
+    return false;
+  });
   w.lci.device(1).set_am_handler([](Request&&) {});
   ASSERT_EQ(w.lci.device(0).sends(1, 1, "x", 1), Status::Ok);
   w.eng.run();
-  prog.post([&] { mlci::progress(w.lci.device(1)); });
+  prog.wake();
   w.eng.run();
   EXPECT_GT(prog.busy_time(), 0);
 }

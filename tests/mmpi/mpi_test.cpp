@@ -395,12 +395,13 @@ TEST(Mmpi, VirtualPayloadCompletesWithoutData) {
 
 TEST(Mmpi, SoftwareOverheadChargedToCallingThread) {
   World w(2);
-  des::SimThread comm(w.eng, "comm");
   bool checked = false;
-  comm.post([&] {
+  des::PollThread comm(w.eng, "comm", 0, [&] {
     w.mpi.rank(0).send("hi", 2, 1, 1);
     checked = true;
+    return false;
   });
+  comm.wake();
   w.eng.run();
   ASSERT_TRUE(checked);
   EXPECT_GT(comm.busy_time(), 0);
@@ -410,12 +411,16 @@ TEST(Mmpi, ThreadSwitchCostChargedOnAlternatingCallers) {
   // The §6.4.3 contention model: alternating calling threads pay the
   // global-lock hand-off; a single steady caller does not.
   World w(2);
-  des::SimThread a(w.eng, "a"), b(w.eng, "b");
+  const auto poll = [&w] {
+    w.mpi.rank(0).poll();
+    return false;
+  };
+  des::PollThread a(w.eng, "a", 0, poll), b(w.eng, "b", 0, poll);
   const auto run_pattern = [&](bool alternate) {
     des::Duration before = a.busy_time() + b.busy_time();
     for (int i = 0; i < 10; ++i) {
-      des::SimThread& th = (alternate && i % 2 == 1) ? b : a;
-      th.post([&w] { w.mpi.rank(0).poll(); });
+      des::PollThread& th = (alternate && i % 2 == 1) ? b : a;
+      th.wake();
       w.eng.run();
     }
     return (a.busy_time() + b.busy_time()) - before;
